@@ -9,9 +9,9 @@ it passed"; anyone can take the witness point, re-evaluate the margin
 with the scalar functions, and get the recorded minimum back to the
 last bit.
 
-This demo runs the four curve scans and the two randomized expectation
-scans at modest sizes, replays each witness, and then unpacks one
-product bound chain to show where the slack lives.
+This demo runs every registered check at modest sizes, replays each
+witness, and then unpacks one product bound chain to show where the
+slack lives.
 """
 
 import dataclasses
@@ -19,8 +19,7 @@ import dataclasses
 from entroset.distribution import FiniteDistribution
 from entroset.report import ScanConfig
 from entroset.scans import (
-    SCAN_NAMES,
-    default_scan_config,
+    CHECKS,
     product_bound_chain,
     reevaluate_witness,
     run_named_scan,
@@ -33,20 +32,23 @@ def section(title: str) -> None:
     print("-" * len(title))
 
 
-def shrink(cfg: ScanConfig) -> ScanConfig:
+def shrink(cfg: ScanConfig | None) -> ScanConfig | None:
     """Keep the demo quick: coarser grids, fewer random draws."""
-    step = cfg.grid_step if cfg.grid_step is None else max(cfg.grid_step, 1e-3)
-    return dataclasses.replace(cfg, grid_step=step, random_samples=5000)
+    if cfg is None:
+        return None
+    return dataclasses.replace(
+        cfg,
+        grid_step=max(cfg.grid_step, 1e-3),
+        random_samples=min(cfg.random_samples, 5000),
+    )
 
 
 def main() -> None:
-    section("All named scans at demo scale")
-    print(f"  {'scan':18s} {'points':>8s} {'min margin':>13s} "
+    section("All registered checks at demo scale")
+    print(f"  {'check':18s} {'points':>8s} {'min margin':>13s} "
           f"{'tolerance':>10s} {'replay diff':>12s}")
-    for name in SCAN_NAMES:
-        if name == "threshold":
-            continue
-        rep = run_named_scan(name, shrink(default_scan_config(name)))
+    for name, check in CHECKS.items():
+        rep = run_named_scan(name, shrink(check.cfg))
         replay = reevaluate_witness(rep)
         print(f"  {name:18s} {rep.points_checked:8d} {rep.min_margin:13.4e} "
               f"{rep.tolerance:10.0e} {abs(replay - rep.min_margin):12.1e}"
@@ -55,7 +57,7 @@ def main() -> None:
     print("  the scan certifies its argmin with the scalar code path.")
 
     section("Where the union bound is tightest")
-    rep = run_named_scan("union-bound", shrink(default_scan_config("union-bound")))
+    rep = run_named_scan("union-bound", shrink(CHECKS["union-bound"].cfg))
     print(f"  worst witness: {rep.argmin_witness}")
     print(f"  margin there:  {rep.min_margin:.6e}")
     print("  The bound collapses to equality on single-atom distributions,")

@@ -20,7 +20,7 @@ import numpy as np
 from entroset.distribution import FiniteDistribution
 from entroset.kernel import GOLDEN_THRESHOLD
 from entroset.scans import (
-    default_scan_config,
+    CHECKS,
     product_bound_margin,
     threshold_exploration,
 )
@@ -65,7 +65,7 @@ def main() -> None:
 
     section("The packaged threshold scan, fine band")
     cfg = dataclasses.replace(
-        default_scan_config("threshold"),
+        CHECKS["threshold"].cfg,
         range_lo=0.60,
         range_hi=0.64,
         grid_step=0.004,

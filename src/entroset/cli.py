@@ -5,7 +5,7 @@ Subcommands
 
 * ``verify-all``  run every check group and write one JSON report per check
 * ``reduce``      reduce a distribution file to its two-point form
-* ``scan``        run one named inequality scan
+* ``scan``        run one named check
 * ``family``      set-family tools: check, closure, enumerate, entropy
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -51,21 +50,6 @@ __all__ = ["main", "build_parser"]
 
 DEFAULT_SEED = 42
 DEFAULT_OUT = "reports"
-
-#: verify-all sample budgets by check, used when --samples is absent.
-_VERIFY_SAMPLES = {
-    "merge-properties": 100_000,
-    "union-bound": 1_000_000,
-    "product-bound": 1_000_000,
-    "bridge-gap": 10_000,
-    "subset-entropy": 100_000,
-    "reduction": 1_000,
-    "optimum-search": 200_000,
-    "threshold": 10_000,
-}
-
-_GROUPS = ("kernel", "distribution", "scans", "setfamily")
-
 
 # ----------------------------------------------------------------------
 # plumbing
@@ -131,106 +115,29 @@ def _print_report_line(r: ScanReport) -> None:
 # verify-all
 # ----------------------------------------------------------------------
 
-def _samples_for(args, check: str) -> int:
-    if args.samples is not None:
-        if check == "reduction":
-            return min(args.samples, 10_000)
-        return args.samples
-    return _VERIFY_SAMPLES.get(check, 100_000)
-
-
-def _grid_cfg(args, name: str) -> ScanConfig:
-    cfg = _scans.DEFAULT_CONFIGS[name]
+def _verify_cfg(args, check: _scans.Check) -> ScanConfig | None:
+    """The check's configuration with --seed, and with --samples for a
+    sampled check or --step for a grid (curve) check."""
+    if check.cfg is None:
+        return None
     kw: dict = {"seed": args.seed}
-    if args.step is not None:
+    if check.cfg.random_samples:
+        if args.samples is not None:
+            kw["random_samples"] = args.samples
+    elif args.step is not None:
         kw["grid_step"] = args.step
-    if args.tol is not None:
-        kw["tolerance"] = args.tol
-    return replace(cfg, **kw)
-
-
-def _random_cfg(args, name: str, default_tol: float) -> ScanConfig:
-    base = _scans.DEFAULT_CONFIGS.get(
-        name, ScanConfig(random_samples=100_000, seed=DEFAULT_SEED, tolerance=default_tol)
-    )
-    return replace(
-        base,
-        seed=args.seed,
-        random_samples=_samples_for(args, name),
-        tolerance=args.tol if args.tol is not None else default_tol,
-    )
-
-
-def _verify_checks(args) -> list[tuple[str, str]]:
-    """(group, check-name) pairs selected by --only."""
-    plan = [
-        ("kernel", "kernel-roundtrip"),
-        ("kernel", "golden-anchor"),
-        ("distribution", "merge-properties"),
-        ("distribution", "reduction"),
-        ("distribution", "optimum-search"),
-        ("scans", "sq-ratio"),
-        ("scans", "sq-ratio-scaled"),
-        ("scans", "rate-convexity"),
-        ("scans", "tail-rate"),
-        ("scans", "union-bound"),
-        ("scans", "product-bound"),
-        ("scans", "bridge-gap"),
-        ("scans", "threshold"),
-        ("setfamily", "subset-entropy"),
-        ("setfamily", "family-sweep"),
-        ("setfamily", "entropy-bridge"),
-    ]
-    if args.only is None:
-        return plan
-    return [(g, n) for g, n in plan if g == args.only]
-
-
-def _run_check(args, name: str) -> ScanReport:
-    tol = args.tol
-    if name == "kernel-roundtrip":
-        if tol is not None:
-            return _scans.kernel_roundtrip_scan(x_tol=tol, rate_tol=tol)
-        return _scans.kernel_roundtrip_scan()
-    if name == "golden-anchor":
-        if tol is not None:
-            return _scans.golden_anchor_check(identity_tol=tol, margin_tol=tol)
-        return _scans.golden_anchor_check()
-    if name == "merge-properties":
-        return _scans.merge_property_scan(_random_cfg(args, name, 1e-9))
-    if name == "reduction":
-        return _scans.reduction_consistency_scan(_random_cfg(args, name, 0.0))
-    if name == "optimum-search":
-        return _scans.optimum_search_scan(_random_cfg(args, name, 0.0))
-    if name in ("sq-ratio", "sq-ratio-scaled", "rate-convexity", "tail-rate"):
-        return _scans.run_named_scan(name, _grid_cfg(args, name), alpha=args.alpha)
-    if name in ("union-bound", "product-bound"):
-        return _scans.run_named_scan(name, _random_cfg(args, name, 1e-9))
-    if name == "bridge-gap":
-        bound = tol if tol is not None else _scans.BRIDGE_TOL
-        return _scans.bridge_gap_scan(
-            samples=_samples_for(args, name), seed=args.seed, bound=bound
-        )
-    if name == "threshold":
-        return _scans.threshold_exploration(_random_cfg(args, name, 1e-9))
-    if name == "subset-entropy":
-        return _sf.subset_entropy_scan(_random_cfg(args, name, 1e-9))
-    if name == "family-sweep":
-        return _sf.family_sweep_scan(4)
-    if name == "entropy-bridge":
-        return _sf.uniform_bridge_scan(3)
-    raise ValueError(f"unknown check {name!r}")
+    return replace(check.cfg, **kw)
 
 
 def cmd_verify_all(args) -> int:
     started = time.time()
-    checks = _verify_checks(args)
-    if not checks:
-        print(f"error: no checks selected by --only {args.only}", file=sys.stderr)
-        return 2
     reports = []
-    for _, name in checks:
-        r = _run_check(args, name)
+    for check in _scans.CHECKS.values():
+        if args.only not in (None, check.group):
+            continue
+        r = _scans.run_named_scan(
+            check.name, _verify_cfg(args, check), alpha=args.alpha, tol=args.tol
+        )
         reports.append(r)
         _print_report_line(r)
         _write_report_json(args, "verify-all", r.name, report_to_json(r))
@@ -305,19 +212,18 @@ def _parse_beta_band(text: str) -> tuple[float, float, float]:
 def cmd_scan(args) -> int:
     started = time.time()
     name = args.name
-    cfg = _scans.DEFAULT_CONFIGS[name]
-    kw: dict = {"seed": args.seed}
-    if args.step is not None:
-        kw["grid_step"] = args.step
-    if args.samples is not None:
-        kw["random_samples"] = args.samples
-    if args.tol is not None:
-        kw["tolerance"] = args.tol
-    if name == "threshold" and args.beta is not None:
-        lo, hi, step = args.beta
-        kw.update(range_lo=lo, range_hi=hi, grid_step=step)
-    cfg = replace(cfg, **kw)
-    report = _scans.run_named_scan(name, cfg, alpha=args.alpha)
+    cfg = _scans.CHECKS[name].cfg
+    if cfg is not None:
+        kw: dict = {"seed": args.seed}
+        if args.step is not None:
+            kw["grid_step"] = args.step
+        if args.samples is not None:
+            kw["random_samples"] = args.samples
+        if name == "threshold" and args.beta is not None:
+            lo, hi, step = args.beta
+            kw.update(range_lo=lo, range_hi=hi, grid_step=step)
+        cfg = replace(cfg, **kw)
+    report = _scans.run_named_scan(name, cfg, alpha=args.alpha, tol=args.tol)
     _print_report_line(report)
     report_path = _write_report_json(args, "scan", name, report_to_json(report))
     if name == "threshold":
@@ -338,8 +244,6 @@ def cmd_scan(args) -> int:
             _report_dir(args, "scan") / f"{name}-{args.seed}.csv", _csv_text(rows)
         )
     _write_manifest(args, "scan", name, started, report_path)
-    if name == "threshold":
-        return 0
     return 0 if report.passed else 1
 
 
@@ -380,7 +284,7 @@ def cmd_family_check(args) -> int:
     )
     path = _write_report_json(args, "family", "check", doc)
     _write_manifest(args, "family", "check", started, path)
-    return 0 if margin >= 0.0 else 1
+    return 0 if doc["meets_bound_exact"] else 1
 
 
 def cmd_family_closure(args) -> int:
@@ -485,14 +389,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     va = sub.add_parser("verify-all", help="run every check group")
     _add_common(va)
-    va.add_argument("--only", choices=_GROUPS, default=None,
+    groups = tuple(dict.fromkeys(c.group for c in _scans.CHECKS.values()))
+    va.add_argument("--only", choices=groups, default=None,
                     help="restrict to one check group")
     va.add_argument("--samples", type=int, default=None,
-                    help="override randomized sample budgets "
-                         "(default: 1e6 for the two expectation scans, "
-                         "1e5 elsewhere, 1e3 reductions)")
+                    help="override the sample budget of every sampled check "
+                         "(default: 1e6 union-bound and product-bound, "
+                         "2e5 optimum-search, 1e5 merge-properties and "
+                         "subset-entropy, 1e4 bridge-gap and threshold, "
+                         "1e3 reduction)")
     va.add_argument("--step", type=float, default=None,
-                    help="override grid step for the curve scans")
+                    help="override grid step for the four curve scans")
     va.add_argument("--tol", type=float, default=None,
                     help="override every margin tolerance and residual bound")
     va.add_argument("--alpha", type=float, default=0.5,
@@ -505,9 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     rd.add_argument("output", help="path for the reduced distribution")
     rd.set_defaults(func=cmd_reduce)
 
-    sc = sub.add_parser("scan", help="run one named inequality scan")
+    sc = sub.add_parser("scan", help="run one named check")
     _add_common(sc)
-    sc.add_argument("name", choices=_scans.SCAN_NAMES, help="scan to run")
+    sc.add_argument("name", choices=_scans.SCAN_NAMES, help="check to run")
     sc.add_argument("--step", type=float, default=None, help="grid step override")
     sc.add_argument("--samples", type=int, default=None, help="random sample override")
     sc.add_argument("--tol", type=float, default=None, help="margin tolerance override")

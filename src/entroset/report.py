@@ -8,8 +8,6 @@ reports over partitions of the same scan merge by taking the minimum.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -176,14 +174,3 @@ def report_csv_row(report: ScanReport) -> list[str]:
         json.dumps(_jsonable(report.argmin_witness)),
     ]
 
-
-def reports_to_csv(reports: list[ScanReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(report_csv_header())
-    for r in reports:
-        writer.writerow(report_csv_row(r))
-    return buf.getvalue()
-
-
-__all__.append("reports_to_csv")

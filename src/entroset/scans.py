@@ -35,17 +35,25 @@ Witness layouts by scan name:
 * grid pair scans: ``(x_left, x_right)``
 * ``rate-convexity``: ``(x_left, x_mid, x_right)`` with alpha in config
 * ``tail-rate`` pointwise check: ``(z,)``
-* ``union-bound`` / ``product-bound`` / ``threshold``: ``(param, weights, values)``
+* ``union-bound`` / ``product-bound`` / ``threshold`` / ``bridge-gap``:
+  ``(param, weights, values)``
 * ``merge-properties``: ``(p1, x1, p2, x2)``
 * ``reduction``: ``(weights, values)``
 * ``optimum-search``: ``(t, u, weights, values)``
-* ``kernel-roundtrip`` / ``golden-anchor`` / ``bridge-gap``: tagged tuples
+* ``kernel-roundtrip`` / ``golden-anchor``: tagged tuples
+* ``subset-entropy``: ``(alpha, probabilities, masks)``
+* ``family-sweep``: ``(family_code, max_count, family_size)``
+* ``entropy-bridge``: ``(ground_n, family_code)``
+
+``CHECKS`` registers all sixteen checks, each once: its group, its default
+configuration, how to run it and how to replay its witness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -76,6 +84,16 @@ from .kernel import (
     inverse_entropy_rate_arr,
 )
 from .report import PreconditionError, ScanConfig, ScanReport, make_report
+from .setfamily import (
+    SubsetDistribution,
+    family_from_code,
+    family_sweep_scan,
+    frequency_bound_margin,
+    subset_entropy_scan,
+    uniform_bridge_scan,
+    union_distribution,
+    union_entropy_margin,
+)
 
 __all__ = [
     "entropy_sq_ratio",
@@ -109,8 +127,8 @@ __all__ = [
     "golden_anchor_check",
     "reevaluate_witness",
     "run_named_scan",
-    "default_scan_config",
-    "DEFAULT_CONFIGS",
+    "Check",
+    "CHECKS",
     "SCAN_NAMES",
 ]
 
@@ -482,47 +500,8 @@ def optimum_candidate_margin(
 
 
 # ----------------------------------------------------------------------
-# default configurations and the scan registry
+# shared scan plumbing
 # ----------------------------------------------------------------------
-
-DEFAULT_CONFIGS: dict[str, ScanConfig] = {
-    "sq-ratio": ScanConfig(
-        grid_step=1e-4, random_samples=0, seed=42, tolerance=1e-6,
-        range_lo=1e-4, range_hi=1.0 - 1e-4,
-    ),
-    "sq-ratio-scaled": ScanConfig(
-        grid_step=1e-5, random_samples=0, seed=42, tolerance=1e-6,
-        range_lo=GOLDEN_THRESHOLD, range_hi=1.0 - 1e-6,
-    ),
-    "rate-convexity": ScanConfig(
-        grid_step=1e-3, random_samples=0, seed=42, tolerance=1e-6,
-        range_lo=0.05, range_hi=10.0,
-    ),
-    "tail-rate": ScanConfig(
-        grid_step=1e-4, random_samples=0, seed=42, tolerance=1e-6,
-        range_lo=1e-6, range_hi=1.0 - 1e-6,
-    ),
-    "union-bound": ScanConfig(
-        grid_step=1e-4, random_samples=100_000, seed=42, tolerance=1e-9,
-        range_lo=0.0, range_hi=FREQUENCY_BOUND,
-    ),
-    "product-bound": ScanConfig(
-        grid_step=1e-4, random_samples=100_000, seed=42, tolerance=1e-9,
-        range_lo=GOLDEN_THRESHOLD, range_hi=1.0,
-    ),
-    "threshold": ScanConfig(
-        grid_step=0.01, random_samples=10_000, seed=42, tolerance=1e-9,
-        range_lo=0.55, range_hi=0.70,
-    ),
-}
-
-
-def default_scan_config(name: str) -> ScanConfig:
-    try:
-        return DEFAULT_CONFIGS[name]
-    except KeyError:
-        raise ValueError(f"unknown scan {name!r}; known: {sorted(DEFAULT_CONFIGS)}")
-
 
 def _config_dict(cfg: ScanConfig, **extra) -> dict:
     doc = {
@@ -544,10 +523,8 @@ def _grid(cfg: ScanConfig) -> np.ndarray:
 # grid scans
 # ----------------------------------------------------------------------
 
-def scan_sq_ratio(cfg: ScanConfig | None = None) -> ScanReport:
+def scan_sq_ratio(cfg: ScanConfig) -> ScanReport:
     """Check that R(x) = H(x^2)/H(x) increases across the grid."""
-    if cfg is None:
-        cfg = DEFAULT_CONFIGS["sq-ratio"]
     xs = _grid(cfg)
     vals = entropy_sq_ratio_arr(xs)
     diffs = vals[1:] - vals[:-1]
@@ -564,10 +541,8 @@ def scan_sq_ratio(cfg: ScanConfig | None = None) -> ScanReport:
     )
 
 
-def scan_sq_ratio_scaled(cfg: ScanConfig | None = None) -> ScanReport:
+def scan_sq_ratio_scaled(cfg: ScanConfig) -> ScanReport:
     """Check that S(x) = H(x^2)/(x H(x)) increases past the golden threshold."""
-    if cfg is None:
-        cfg = DEFAULT_CONFIGS["sq-ratio-scaled"]
     if cfg.range_lo < GOLDEN_THRESHOLD - 1e-12:
         raise PreconditionError(
             "the scaled ratio is only monotone from the golden threshold up"
@@ -588,15 +563,11 @@ def scan_sq_ratio_scaled(cfg: ScanConfig | None = None) -> ScanReport:
     )
 
 
-def scan_rate_convexity(
-    alpha: float = 0.5, cfg: ScanConfig | None = None
-) -> ScanReport:
+def scan_rate_convexity(alpha: float, cfg: ScanConfig) -> ScanReport:
     """Check convexity of x -> f(alpha g(x)) by second central differences."""
     alpha = float(alpha)
     if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
-    if cfg is None:
-        cfg = DEFAULT_CONFIGS["rate-convexity"]
     if cfg.range_lo <= 0.0:
         raise PreconditionError("the convexity grid must stay strictly positive")
     xs = _grid(cfg)
@@ -616,10 +587,8 @@ def scan_rate_convexity(
     )
 
 
-def scan_tail_rate(cfg: ScanConfig | None = None) -> ScanReport:
+def scan_tail_rate(cfg: ScanConfig) -> ScanReport:
     """Check that the nats tail rate decreases, plus ln(1-z) <= -z pointwise."""
-    if cfg is None:
-        cfg = DEFAULT_CONFIGS["tail-rate"]
     zs = _grid(cfg)
     vals = tail_rate_arr(zs)
     diffs = vals[:-1] - vals[1:]
@@ -748,10 +717,8 @@ def _random_margin_scan(name: str, cfg: ScanConfig, side: str) -> ScanReport:
     )
 
 
-def scan_union_bound(cfg: ScanConfig | None = None) -> ScanReport:
+def scan_union_bound(cfg: ScanConfig) -> ScanReport:
     """Randomized check of the union bound on (d, alpha) with mean <= alpha."""
-    if cfg is None:
-        cfg = DEFAULT_CONFIGS["union-bound"]
     if not (0.0 <= cfg.range_lo < cfg.range_hi <= FREQUENCY_BOUND + 1e-15):
         raise PreconditionError(
             f"alpha range must sit inside (0, {FREQUENCY_BOUND}]"
@@ -759,10 +726,8 @@ def scan_union_bound(cfg: ScanConfig | None = None) -> ScanReport:
     return _random_margin_scan("union-bound", cfg, "union")
 
 
-def scan_product_bound(cfg: ScanConfig | None = None) -> ScanReport:
+def scan_product_bound(cfg: ScanConfig) -> ScanReport:
     """Randomized check of the product bound on (d, beta) with mean >= beta."""
-    if cfg is None:
-        cfg = DEFAULT_CONFIGS["product-bound"]
     if not (GOLDEN_THRESHOLD - 1e-15 <= cfg.range_lo < cfg.range_hi <= 1.0):
         raise PreconditionError(
             f"beta range must sit inside [{GOLDEN_THRESHOLD}, 1)"
@@ -806,7 +771,7 @@ def bridge_gap_scan(
     )
 
 
-def threshold_exploration(cfg: ScanConfig | None = None) -> ScanReport:
+def threshold_exploration(cfg: ScanConfig) -> ScanReport:
     """Map the product bound's margin across a band of thresholds.
 
     For each beta on the grid this sweeps the two-point family
@@ -816,8 +781,6 @@ def threshold_exploration(cfg: ScanConfig | None = None) -> ScanReport:
     report always passes; negative margins below the threshold are the
     interesting output, not a failure.
     """
-    if cfg is None:
-        cfg = DEFAULT_CONFIGS["threshold"]
     rng = np.random.default_rng(cfg.seed)
     betas = _grid(cfg)
     rows = []
@@ -882,7 +845,7 @@ def threshold_exploration(cfg: ScanConfig | None = None) -> ScanReport:
 # pipeline consistency engines
 # ----------------------------------------------------------------------
 
-def merge_property_scan(cfg: ScanConfig | None = None) -> ScanReport:
+def merge_property_scan(cfg: ScanConfig) -> ScanReport:
     """Randomized audit of one merge step: conservation plus both margins.
 
     Draws quadruples (p1, x1, p2, x2), recomputes the merge vectorized,
@@ -892,8 +855,6 @@ def merge_property_scan(cfg: ScanConfig | None = None) -> ScanReport:
     residuals live in details with their own fixed bounds and fold into
     the verdict.
     """
-    if cfg is None:
-        cfg = ScanConfig(random_samples=100_000, seed=42, tolerance=1e-9)
     n = cfg.random_samples
     rng = np.random.default_rng(cfg.seed)
     p1 = 0.5 * (1.0 - rng.uniform(size=n))
@@ -946,10 +907,8 @@ def merge_property_scan(cfg: ScanConfig | None = None) -> ScanReport:
     return replace(report, passed=ok)
 
 
-def reduction_consistency_scan(cfg: ScanConfig | None = None) -> ScanReport:
+def reduction_consistency_scan(cfg: ScanConfig) -> ScanReport:
     """Run full reductions on random distributions and audit every step."""
-    if cfg is None:
-        cfg = ScanConfig(random_samples=1000, seed=42, tolerance=1e-9)
     rng = np.random.default_rng(cfg.seed)
     best = math.inf
     best_witness: tuple = ()
@@ -973,9 +932,7 @@ def reduction_consistency_scan(cfg: ScanConfig | None = None) -> ScanReport:
     )
 
 
-def optimum_search_scan(
-    cfg: ScanConfig | None = None, pairs: int = 100
-) -> ScanReport:
+def optimum_search_scan(cfg: ScanConfig, pairs: int = 100) -> ScanReport:
     """Random search for joint entropies below the closed-form optimum.
 
     For each (t, u) pair this draws cfg.random_samples candidate
@@ -986,8 +943,6 @@ def optimum_search_scan(
     undercut relative to the pair's optimum is recorded in details; that
     figure legitimately drifts with the matching box and is not judged.
     """
-    if cfg is None:
-        cfg = ScanConfig(random_samples=200_000, seed=42, tolerance=0.0)
     rng = np.random.default_rng(cfg.seed)
     best = math.inf
     best_witness: tuple = ()
@@ -1123,13 +1078,230 @@ def golden_anchor_check(
     )
 
 
+
+
 # ----------------------------------------------------------------------
-# witness re-evaluation
+# the check registry
 # ----------------------------------------------------------------------
 
-def _reeval_pair(fn, witness):
+@dataclass(frozen=True)
+class Check:
+    """One verification check, described once.
+
+    ``group`` is its ``verify-all --only`` group.  ``cfg`` is the
+    configuration ``verify-all`` runs it with, or None for a check with
+    fixed inputs.  ``run(cfg, alpha, tol)`` produces the report: ``alpha``
+    is the rate-convexity level, and ``tol`` the ``--tol`` override, which
+    reaches the checks without a ``cfg`` as their own bounds; the others
+    receive it as ``cfg.tolerance``.  ``replay(report)`` recomputes the
+    report's margin at its witness through the scalar route.
+    """
+
+    name: str
+    group: str
+    cfg: ScanConfig | None
+    run: Callable[[ScanConfig | None, float, float | None], ScanReport]
+    replay: Callable[[ScanReport], float]
+
+
+def _run_roundtrip(cfg, alpha, tol):
+    if tol is None:
+        return kernel_roundtrip_scan()
+    return kernel_roundtrip_scan(x_tol=tol, rate_tol=tol)
+
+
+def _run_anchor(cfg, alpha, tol):
+    if tol is None:
+        return golden_anchor_check()
+    return golden_anchor_check(identity_tol=tol, margin_tol=tol)
+
+
+def _replay_roundtrip(report: ScanReport) -> float:
+    tag, val = report.argmin_witness
+    if tag == "roundtrip-x":
+        return report.details["x_tol"] - abs(inverse_entropy_rate(entropy_rate(val)) - val)
+    return report.details["rate_tol"] * max(1.0, val) - abs(
+        entropy_rate(inverse_entropy_rate(val)) - val
+    )
+
+
+def _replay_pair(fn, witness) -> float:
     lo, hi = witness
     return fn(hi) - fn(lo)
+
+
+def _replay_convexity(report: ScanReport) -> float:
+    alpha = report.config["alpha"]
+    a, b, c = (composed_rate(alpha, x) for x in report.argmin_witness)
+    return a - 2.0 * b + c
+
+
+def _replay_tail(report: ScanReport) -> float:
+    w = report.argmin_witness
+    if len(w) == 1:
+        return -w[0] - math.log1p(-w[0])
+    return tail_rate(w[0]) - tail_rate(w[1])
+
+
+def _at_level(witness) -> tuple[FiniteDistribution, float]:
+    """(distribution, level) of a ``(level, weights, values)`` witness."""
+    level, ws, vs = witness
+    return FiniteDistribution(zip(ws, vs)), level
+
+
+def _replay_subset(report: ScanReport) -> float:
+    level, ps, ms = report.argmin_witness
+    d = SubsetDistribution(report.details["ground_n"], zip(ps, ms))
+    return union_entropy_margin(d, level)
+
+
+def _replay_uniform_bridge(report: ScanReport) -> float:
+    n, code = report.argmin_witness
+    d = SubsetDistribution.uniform_on(family_from_code(code, n))
+    return d.entropy() + report.details["slack"] - union_distribution(d).entropy()
+
+
+#: Every check, in ``verify-all`` order.  The run functions look the scan
+#: functions up by name at call time, so wrappers installed on the module
+#: attributes see every call.
+CHECKS: dict[str, Check] = {c.name: c for c in (
+    Check(
+        "kernel-roundtrip", "kernel", None, _run_roundtrip, _replay_roundtrip,
+    ),
+    Check(
+        "golden-anchor", "kernel", None, _run_anchor,
+        lambda r: r.details[r.argmin_witness[0]],
+    ),
+    Check(
+        "merge-properties", "distribution",
+        ScanConfig(random_samples=100_000, seed=42, tolerance=1e-9),
+        lambda cfg, alpha, tol: merge_property_scan(cfg),
+        lambda r: merge_quadruple_margin(*r.argmin_witness),
+    ),
+    Check(
+        "reduction", "distribution",
+        ScanConfig(random_samples=1_000, seed=42, tolerance=0.0),
+        lambda cfg, alpha, tol: reduction_consistency_scan(cfg),
+        lambda r: reduction_consistency_margin(FiniteDistribution(zip(*r.argmin_witness))),
+    ),
+    Check(
+        "optimum-search", "distribution",
+        ScanConfig(random_samples=200_000, seed=42, tolerance=0.0),
+        lambda cfg, alpha, tol: optimum_search_scan(cfg),
+        lambda r: optimum_candidate_margin(*r.argmin_witness),
+    ),
+    Check(
+        "sq-ratio", "scans",
+        ScanConfig(grid_step=1e-4, random_samples=0, seed=42, tolerance=1e-6,
+                   range_lo=1e-4, range_hi=1.0 - 1e-4),
+        lambda cfg, alpha, tol: scan_sq_ratio(cfg),
+        lambda r: _replay_pair(entropy_sq_ratio, r.argmin_witness),
+    ),
+    Check(
+        "sq-ratio-scaled", "scans",
+        ScanConfig(grid_step=1e-5, random_samples=0, seed=42, tolerance=1e-6,
+                   range_lo=GOLDEN_THRESHOLD, range_hi=1.0 - 1e-6),
+        lambda cfg, alpha, tol: scan_sq_ratio_scaled(cfg),
+        lambda r: _replay_pair(entropy_sq_ratio_scaled, r.argmin_witness),
+    ),
+    Check(
+        "rate-convexity", "scans",
+        ScanConfig(grid_step=1e-3, random_samples=0, seed=42, tolerance=1e-6,
+                   range_lo=0.05, range_hi=10.0),
+        lambda cfg, alpha, tol: scan_rate_convexity(alpha, cfg),
+        _replay_convexity,
+    ),
+    Check(
+        "tail-rate", "scans",
+        ScanConfig(grid_step=1e-4, random_samples=0, seed=42, tolerance=1e-6,
+                   range_lo=1e-6, range_hi=1.0 - 1e-6),
+        lambda cfg, alpha, tol: scan_tail_rate(cfg),
+        _replay_tail,
+    ),
+    Check(
+        "union-bound", "scans",
+        ScanConfig(grid_step=1e-4, random_samples=1_000_000, seed=42, tolerance=1e-9,
+                   range_lo=0.0, range_hi=FREQUENCY_BOUND),
+        lambda cfg, alpha, tol: scan_union_bound(cfg),
+        lambda r: union_bound_margin(*_at_level(r.argmin_witness)),
+    ),
+    Check(
+        "product-bound", "scans",
+        ScanConfig(grid_step=1e-4, random_samples=1_000_000, seed=42, tolerance=1e-9,
+                   range_lo=GOLDEN_THRESHOLD, range_hi=1.0),
+        lambda cfg, alpha, tol: scan_product_bound(cfg),
+        lambda r: product_bound_margin(*_at_level(r.argmin_witness)),
+    ),
+    Check(
+        # the bridge's own bound travels as cfg.tolerance; the report
+        # itself is judged at tolerance zero
+        "bridge-gap", "scans",
+        ScanConfig(random_samples=10_000, seed=42, tolerance=BRIDGE_TOL),
+        lambda cfg, alpha, tol: bridge_gap_scan(
+            samples=cfg.random_samples, seed=cfg.seed, bound=cfg.tolerance
+        ),
+        lambda r: r.details["bound"] - complement_bridge_gap(*_at_level(r.argmin_witness)),
+    ),
+    Check(
+        "threshold", "scans",
+        ScanConfig(grid_step=0.01, random_samples=10_000, seed=42, tolerance=1e-9,
+                   range_lo=0.55, range_hi=0.70),
+        lambda cfg, alpha, tol: threshold_exploration(cfg),
+        lambda r: product_bound_margin(
+            *_at_level(r.argmin_witness), enforce_threshold=False
+        ),
+    ),
+    Check(
+        "subset-entropy", "setfamily",
+        ScanConfig(random_samples=100_000, seed=42, tolerance=1e-9),
+        lambda cfg, alpha, tol: subset_entropy_scan(cfg),
+        _replay_subset,
+    ),
+    Check(
+        "family-sweep", "setfamily", None,
+        lambda cfg, alpha, tol: family_sweep_scan(4),
+        lambda r: frequency_bound_margin(
+            family_from_code(r.argmin_witness[0], r.config["ground_n"])
+        ),
+    ),
+    Check(
+        "entropy-bridge", "setfamily", None,
+        lambda cfg, alpha, tol: uniform_bridge_scan(3),
+        _replay_uniform_bridge,
+    ),
+)}
+
+#: Names accepted by ``run_named_scan`` and the command-line ``scan``.
+SCAN_NAMES = tuple(CHECKS)
+
+
+def _check(name: str) -> Check:
+    try:
+        return CHECKS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown check {name!r}; known: {', '.join(SCAN_NAMES)}"
+        ) from None
+
+
+def run_named_scan(
+    name: str,
+    cfg: ScanConfig | None = None,
+    alpha: float = 0.5,
+    tol: float | None = None,
+) -> ScanReport:
+    """Run one registered check; raises ValueError on unknown names.
+
+    ``cfg`` defaults to the check's own.  ``tol``, when given, replaces
+    ``cfg.tolerance``, or the residual bounds of a check without a
+    configuration.
+    """
+    check = _check(name)
+    if cfg is None:
+        cfg = check.cfg
+    if tol is not None and cfg is not None:
+        cfg = replace(cfg, tolerance=tol)
+    return check.run(cfg, alpha, tol)
 
 
 def reevaluate_witness(report: ScanReport) -> float:
@@ -1137,86 +1309,6 @@ def reevaluate_witness(report: ScanReport) -> float:
 
     Returns the margin the scan would report for that witness alone; by
     construction it reproduces ``report.min_margin`` up to float identity
-    for every scan in this module.
+    for every registered check.
     """
-    name = report.name
-    w = report.argmin_witness
-    if name == "sq-ratio":
-        return _reeval_pair(entropy_sq_ratio, w)
-    if name == "sq-ratio-scaled":
-        return _reeval_pair(entropy_sq_ratio_scaled, w)
-    if name == "rate-convexity":
-        alpha = report.config["alpha"]
-        a, b, c = (composed_rate(alpha, x) for x in w)
-        return a - 2.0 * b + c
-    if name == "tail-rate":
-        if len(w) == 1:
-            return -w[0] - math.log1p(-w[0])
-        return tail_rate(w[0]) - tail_rate(w[1])
-    if name == "union-bound":
-        level, ws, vs = w
-        return union_bound_margin(FiniteDistribution(zip(ws, vs)), level)
-    if name == "product-bound":
-        level, ws, vs = w
-        return product_bound_margin(FiniteDistribution(zip(ws, vs)), level)
-    if name == "threshold":
-        level, ws, vs = w
-        return product_bound_margin(
-            FiniteDistribution(zip(ws, vs)), level, enforce_threshold=False
-        )
-    if name == "bridge-gap":
-        level, ws, vs = w
-        bound = (report.details or {}).get("bound", BRIDGE_TOL)
-        return bound - complement_bridge_gap(FiniteDistribution(zip(ws, vs)), level)
-    if name == "merge-properties":
-        return merge_quadruple_margin(*w)
-    if name == "reduction":
-        ws, vs = w
-        return reduction_consistency_margin(FiniteDistribution(zip(ws, vs)))
-    if name == "optimum-search":
-        return optimum_candidate_margin(*w)
-    if name == "kernel-roundtrip":
-        tag, val = w
-        if tag == "roundtrip-x":
-            x_tol = (report.details or {}).get("x_tol", 1e-9)
-            return x_tol - abs(inverse_entropy_rate(entropy_rate(val)) - val)
-        rate_tol = (report.details or {}).get("rate_tol", KERNEL_TOL)
-        return rate_tol * max(1.0, val) - abs(
-            entropy_rate(inverse_entropy_rate(val)) - val
-        )
-    if name == "golden-anchor":
-        return (report.details or {})[w[0]]
-    raise ValueError(f"no scalar re-evaluation known for scan {name!r}")
-
-
-#: Names accepted by the command-line ``scan`` subcommand.
-SCAN_NAMES = (
-    "sq-ratio",
-    "sq-ratio-scaled",
-    "rate-convexity",
-    "tail-rate",
-    "union-bound",
-    "product-bound",
-    "threshold",
-)
-
-
-def run_named_scan(
-    name: str, cfg: ScanConfig | None = None, alpha: float = 0.5
-) -> ScanReport:
-    """Dispatch one of the named scans; raises ValueError on unknown names."""
-    if name == "sq-ratio":
-        return scan_sq_ratio(cfg)
-    if name == "sq-ratio-scaled":
-        return scan_sq_ratio_scaled(cfg)
-    if name == "rate-convexity":
-        return scan_rate_convexity(alpha, cfg)
-    if name == "tail-rate":
-        return scan_tail_rate(cfg)
-    if name == "union-bound":
-        return scan_union_bound(cfg)
-    if name == "product-bound":
-        return scan_product_bound(cfg)
-    if name == "threshold":
-        return threshold_exploration(cfg)
-    raise ValueError(f"unknown scan {name!r}; known: {', '.join(SCAN_NAMES)}")
+    return _check(report.name).replay(report)

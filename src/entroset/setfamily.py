@@ -49,6 +49,7 @@ __all__ = [
     "union_entropy_margin",
     "enumerate_union_closed",
     "family_code",
+    "family_from_code",
     "family_census",
     "census_csv_rows",
     "random_family",
@@ -421,6 +422,11 @@ def family_code(f: SetFamily) -> int:
     return code
 
 
+def family_from_code(code: int, ground_n: int) -> SetFamily:
+    """Inverse of :func:`family_code` over a ground set of ``ground_n``."""
+    return SetFamily(ground_n, (m for m in range(1 << ground_n) if code >> m & 1))
+
+
 def family_census(
     ground_n: int, start: int = 1, stop: int | None = None
 ) -> list[dict]:
@@ -548,9 +554,7 @@ def _shannon_rows(p: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=1)
 
 
-def subset_entropy_scan(
-    cfg: ScanConfig | None = None, ground_n: int = 4
-) -> ScanReport:
+def subset_entropy_scan(cfg: ScanConfig, ground_n: int = 4) -> ScanReport:
     """Randomized check of the subset union entropy bound over [ground_n].
 
     Draws subset distributions from three samplers (dense, small-set
@@ -559,8 +563,6 @@ def subset_entropy_scan(
     below alpha, and tracks the worst margin.  The reported minimum is
     re-certified through the scalar :func:`union_entropy_margin`.
     """
-    if cfg is None:
-        cfg = ScanConfig(random_samples=100_000, seed=42, tolerance=1e-9)
     if not (1 <= ground_n <= MAX_ENUM_GROUND):
         raise SetFamilyError(
             f"the vector engine needs 1 <= ground_n <= {MAX_ENUM_GROUND}"

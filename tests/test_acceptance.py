@@ -18,7 +18,7 @@ from entroset.distribution import FiniteDistribution
 from entroset.kernel import GOLDEN_THRESHOLD
 from entroset.report import ScanConfig
 from entroset.scans import (
-    DEFAULT_CONFIGS,
+    CHECKS,
     bridge_gap_scan,
     entropy_sq_ratio,
     golden_anchor_check,
@@ -134,7 +134,7 @@ def test_criterion_6_curve_scans():
         "sq-ratio-scaled": run_named_scan("sq-ratio-scaled"),  # step 1e-5
         "rate-convexity": run_named_scan(
             "rate-convexity",
-            replace(DEFAULT_CONFIGS["rate-convexity"], grid_step=1e-4),
+            replace(CHECKS["rate-convexity"].cfg, grid_step=1e-4),
         ),
         "tail-rate": run_named_scan("tail-rate"),  # step 1e-4
     }
@@ -153,10 +153,10 @@ def test_criterion_6_curve_scans():
 def test_criterion_7_expectation_inequalities_at_scale():
     started = time.perf_counter()
     union = scan_union_bound(
-        replace(DEFAULT_CONFIGS["union-bound"], random_samples=1_000_000)
+        replace(CHECKS["union-bound"].cfg, random_samples=1_000_000)
     )
     product = scan_product_bound(
-        replace(DEFAULT_CONFIGS["product-bound"], random_samples=1_000_000)
+        replace(CHECKS["product-bound"].cfg, random_samples=1_000_000)
     )
     bridge = bridge_gap_scan(samples=10_000, seed=42, bound=1e-12)
     ok = union.passed and product.passed and bridge.passed

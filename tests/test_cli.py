@@ -113,6 +113,18 @@ class TestScan:
               "--out", str(out)])
         assert (out / "scan" / "union-bound-7.json").exists()
 
+    @pytest.mark.parametrize("name, group", [("golden-anchor", "kernel"),
+                                             ("entropy-bridge", "setfamily")])
+    def test_scan_report_matches_verify_all(self, tmp_path, name, group):
+        # one registry entry drives both subcommands, so the reports agree
+        out = tmp_path / "r"
+        assert main(["scan", name, "--out", str(out)]) == 0
+        assert main(["verify-all", "--only", group, "--samples", "1000",
+                     "--out", str(out)]) == 0
+        scanned = (out / "scan" / f"{name}-42.json").read_bytes()
+        verified = (out / "verify-all" / f"{name}-42.json").read_bytes()
+        assert scanned == verified
+
     def test_csv_format_flag(self, tmp_path):
         out = tmp_path / "r"
         main(["scan", "tail-rate", "--step", "1e-2", "--format", "csv",

@@ -24,7 +24,7 @@ from entroset.report import (
 )
 from entroset.scans import (
     BRIDGE_TOL,
-    DEFAULT_CONFIGS,
+    CHECKS,
     SCAN_NAMES,
     bridge_gap_scan,
     complement_bridge_gap,
@@ -52,17 +52,20 @@ from entroset.scans import (
 PHI = (math.sqrt(5.0) + 1.0) / 2.0
 
 
-def small_cfg(name: str, **overrides) -> ScanConfig:
+def small_cfg(name: str, **overrides) -> ScanConfig | None:
+    """The check's registry configuration at test scale; None if it has none."""
     from dataclasses import replace
 
     shrink = {"sq-ratio": 1e-3, "sq-ratio-scaled": 1e-4, "rate-convexity": 5e-3,
               "tail-rate": 1e-3, "threshold": 0.02}
-    cfg = DEFAULT_CONFIGS[name]
+    cfg = CHECKS[name].cfg
+    if cfg is None:
+        return None
     kw = {}
     if name in shrink:
         kw["grid_step"] = shrink[name]
     if cfg.random_samples:
-        kw["random_samples"] = 2000
+        kw["random_samples"] = 100 if name == "reduction" else 2000
     kw.update(overrides)
     return replace(cfg, **kw)
 
@@ -271,7 +274,7 @@ class TestScanReports:
     def test_merge_reports_partition(self):
         from dataclasses import replace
 
-        base = DEFAULT_CONFIGS["sq-ratio"]
+        base = CHECKS["sq-ratio"].cfg
         left = run_named_scan(
             "sq-ratio", replace(base, grid_step=1e-3, range_lo=0.01, range_hi=0.5)
         )
@@ -335,7 +338,7 @@ class TestScanEngines:
         from dataclasses import replace
 
         cfg = replace(
-            DEFAULT_CONFIGS["threshold"],
+            CHECKS["threshold"].cfg,
             range_lo=0.56, range_hi=0.68, grid_step=0.02, random_samples=300,
         )
         r = threshold_exploration(cfg)
