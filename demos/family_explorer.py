@@ -26,8 +26,8 @@ from entroset.setfamily import (
     union_closure,
     union_distribution,
     union_entropy_margin,
-    uniform_bridge_scan,
 )
+from entroset.scans import uniform_bridge_scan
 
 
 def section(title: str) -> None:

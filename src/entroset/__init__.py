@@ -9,9 +9,9 @@ element-frequency bound for union-closed families:
 * :mod:`entroset.distribution` manipulates finite distributions on [0, 1]:
   two-point merges, support reduction, and the two-point optimum
   certificate for the joint-entropy lower bound.
-* :mod:`entroset.scans` runs grid and sampling scans over the curve
-  families and expectation inequalities, reporting worst-case margins
-  with reproducible witnesses.
+* :mod:`entroset.scans` holds every scan engine (grid, sampling and
+  exhaustive) and the registry of the sixteen checks, reporting
+  worst-case margins with reproducible witnesses.
 * :mod:`entroset.setfamily` handles the combinatorial side: union-closed
   families as bitmasks, exact frequency checks, exhaustive enumeration,
   and entropy comparisons for distributions on subsets.
@@ -28,14 +28,12 @@ from .kernel import (
     FREQUENCY_BOUND,
     GOLDEN_THRESHOLD,
     KERNEL_TOL,
-    RatePoint,
     binary_entropy,
     binary_entropy_arr,
     entropy_rate,
     entropy_rate_arr,
     inverse_entropy_rate,
     inverse_entropy_rate_arr,
-    rate_point,
 )
 from .distribution import (
     DistributionError,
@@ -56,7 +54,6 @@ from .report import (
     ScanConfig,
     ScanReport,
     make_report,
-    merge_reports,
     report_from_json,
     report_to_json,
 )
@@ -99,14 +96,12 @@ __all__ = [
     "FREQUENCY_BOUND",
     "GOLDEN_THRESHOLD",
     "KERNEL_TOL",
-    "RatePoint",
     "binary_entropy",
     "binary_entropy_arr",
     "entropy_rate",
     "entropy_rate_arr",
     "inverse_entropy_rate",
     "inverse_entropy_rate_arr",
-    "rate_point",
     # distribution
     "DistributionError",
     "FiniteDistribution",
@@ -125,7 +120,6 @@ __all__ = [
     "ScanConfig",
     "ScanReport",
     "make_report",
-    "merge_reports",
     "report_from_json",
     "report_to_json",
     # scans

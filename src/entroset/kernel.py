@@ -21,7 +21,6 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,14 +30,12 @@ __all__ = [
     "DERIV_TOL",
     "GOLDEN_THRESHOLD",
     "FREQUENCY_BOUND",
-    "RatePoint",
     "as_prob",
     "binary_entropy",
     "entropy_of_square",
     "entropy_rate",
     "entropy_rate_deriv",
     "inverse_entropy_rate",
-    "rate_point",
     "binary_entropy_arr",
     "entropy_of_square_arr",
     "entropy_rate_arr",
@@ -226,33 +223,6 @@ def inverse_entropy_rate(y: float) -> float:
         # Subnormal roots cannot carry enough precision to meet the contract.
         raise DomainError(f"y = {yv} exceeds the representable rate range")
     return x
-
-
-@dataclass(frozen=True)
-class RatePoint:
-    """A point (x, y) on the rate curve, i.e. y = entropy_rate(x)."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        v = as_prob(self.x, "x")
-        if v == 0.0:
-            raise DomainError("RatePoint requires x in (0, 1]")
-        expected = entropy_rate(v)
-        if abs(self.y - expected) > 1e-12 * max(1.0, expected):
-            raise DomainError(
-                f"RatePoint ({self.x}, {self.y}) is off the rate curve; "
-                f"expected y = {expected}"
-            )
-
-
-def rate_point(x: float) -> RatePoint:
-    """Construct the rate-curve point above ``x``."""
-    v = as_prob(x, "x")
-    if v == 0.0:
-        raise DomainError("rate_point requires x in (0, 1]")
-    return RatePoint(v, entropy_rate(v))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 A scan walks a grid or a seeded random sample, records the worst margin it
 saw and where, and passes iff that margin clears ``-tolerance``.  Reports
-are plain data: they serialize to JSON documents and CSV rows, and two
-reports over partitions of the same scan merge by taking the minimum.
+are plain data: they serialize to JSON documents and CSV rows.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ __all__ = [
     "ScanConfig",
     "ScanReport",
     "make_report",
-    "merge_reports",
     "report_to_json",
     "report_from_json",
     "report_csv_header",
@@ -96,25 +94,6 @@ def make_report(
         tolerance=float(tolerance),
         config=dict(config or {}),
         details=details,
-    )
-
-
-def merge_reports(a: ScanReport, b: ScanReport) -> ScanReport:
-    """Combine two partitions of the same scan; order of the parts is irrelevant."""
-    if a.name != b.name:
-        raise ValueError(f"cannot merge reports for {a.name!r} and {b.name!r}")
-    if a.tolerance != b.tolerance:
-        raise ValueError("cannot merge reports with different tolerances")
-    lead = a if a.min_margin <= b.min_margin else b
-    return ScanReport(
-        name=a.name,
-        points_checked=a.points_checked + b.points_checked,
-        min_margin=lead.min_margin,
-        argmin_witness=lead.argmin_witness,
-        passed=a.passed and b.passed,
-        tolerance=a.tolerance,
-        config=lead.config,
-        details=lead.details,
     )
 
 

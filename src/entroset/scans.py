@@ -1,9 +1,11 @@
-"""Grid and randomized scans for the entropy inequalities behind the bound.
+"""Every scan engine, and the registry of the sixteen checks they serve.
 
-This module is the verification lab.  It knows four curve families and two
-expectation inequalities, and for each one it provides a scalar margin
-function (the contract) plus a scan that sweeps a grid or a seeded random
-sample and reports the worst margin seen.
+This module is the verification lab.  It knows four curve families, two
+expectation inequalities, the pipeline audits of ``distribution``, and the
+set-family checks built on ``setfamily``.  For each it provides a scalar
+margin function (the contract) plus a scan that sweeps a grid, a seeded
+random sample or an exhaustive enumeration and reports the worst margin
+seen.
 
 Curves, all in bits unless noted:
 
@@ -24,11 +26,13 @@ The two are images of each other under value complement (w = 1 - v,
 b = 1 - a); ``complement_bridge_gap`` measures how closely the two code
 paths agree on paired instances.
 
-Every scan locates its minimum with vectorized numpy sweeps, then
-re-certifies that minimum through the scalar functions; the reported
-``min_margin`` is always the scalar value, so re-evaluating the witness
-reproduces it exactly.  The vector figure and the route disagreement are
-kept in ``details``.
+``CHECKS`` registers all sixteen checks, each once: its group, its default
+configuration, how to run it and how to replay its witness.  The replay is
+the only scalar statement of a check's margin.  A scan with a vector route
+only locates its worst point; it then builds a draft report at that point
+and takes the certified ``min_margin`` from its check's replay, so
+re-evaluating the witness reproduces it bit for bit.  The vector figure
+and the route disagreement are kept in ``details``.
 
 Witness layouts by scan name:
 
@@ -44,9 +48,6 @@ Witness layouts by scan name:
 * ``subset-entropy``: ``(alpha, probabilities, masks)``
 * ``family-sweep``: ``(family_code, max_count, family_size)``
 * ``entropy-bridge``: ``(ground_n, family_code)``
-
-``CHECKS`` registers all sixteen checks, each once: its group, its default
-configuration, how to run it and how to replay its witness.
 """
 
 from __future__ import annotations
@@ -60,10 +61,8 @@ import numpy as np
 from .distribution import (
     FiniteDistribution,
     joint_entropy_optimum,
-    merge_atoms,
     random_distribution,
     reduce_steps,
-    reduce_support,
     scaled_entropy_margin,
     squared_merge_margin,
 )
@@ -85,12 +84,15 @@ from .kernel import (
 )
 from .report import PreconditionError, ScanConfig, ScanReport, make_report
 from .setfamily import (
+    MAX_ENUM_GROUND,
+    SetFamily,
+    SetFamilyError,
     SubsetDistribution,
+    enumerate_union_closed,
+    family_census,
+    family_code,
     family_from_code,
-    family_sweep_scan,
     frequency_bound_margin,
-    subset_entropy_scan,
-    uniform_bridge_scan,
     union_distribution,
     union_entropy_margin,
 )
@@ -125,6 +127,9 @@ __all__ = [
     "optimum_search_scan",
     "kernel_roundtrip_scan",
     "golden_anchor_check",
+    "subset_entropy_scan",
+    "family_sweep_scan",
+    "uniform_bridge_scan",
     "reevaluate_witness",
     "run_named_scan",
     "Check",
@@ -519,26 +524,88 @@ def _grid(cfg: ScanConfig) -> np.ndarray:
     return np.linspace(cfg.range_lo, cfg.range_hi, cfg.grid_points())
 
 
+def _certified(
+    name: str,
+    points: int,
+    vector_min: float,
+    witness: tuple,
+    tolerance: float,
+    config: dict,
+    details: dict,
+) -> ScanReport:
+    """The report of a scan whose vector route found ``witness``.
+
+    A draft report at the vector minimum goes through the check's registry
+    replay, and the scalar margin that comes back is the reported
+    ``min_margin``.  The vector figure and the gap between the routes are
+    added to ``details``.  A scan that kept no point has no witness, and
+    reports its vector figure as it is.
+    """
+    certified, gap = vector_min, 0.0
+    if witness:
+        draft = make_report(name, points, vector_min, witness, tolerance,
+                            config=config, details=details)
+        certified = CHECKS[name].replay(draft)
+        gap = abs(certified - vector_min)
+    details["vector_min_margin"] = vector_min
+    details["route_gap"] = gap
+    return make_report(name, points, certified, witness, tolerance,
+                       config=config, details=details)
+
+
+def _worst_rows(
+    needed: int,
+    draw: Callable[[], tuple],
+    margins: Callable[..., np.ndarray],
+) -> tuple[float, tuple, int, int]:
+    """Rejection-sample rows until ``needed`` are kept, tracking the worst.
+
+    ``draw()`` returns one batch as ``(keep, *columns)``: a boolean mask
+    over the batch's rows, then arrays whose first axis runs over them.
+    ``margins(*columns)`` gives the margin of each kept row.  Returns
+    ``(best, row, checked, drawn)``: the least margin, that row's entry in
+    each column (``()`` when nothing was kept), the rows checked and the
+    rows drawn.  Ties go to the row drawn first.
+    """
+    best = math.inf
+    row: tuple = ()
+    checked = 0
+    drawn = 0
+    while checked < needed:
+        keep, *columns = draw()
+        drawn += keep.size
+        if not keep.any():
+            continue
+        take = min(int(np.count_nonzero(keep)), needed - checked)
+        kept = [c[keep][:take] for c in columns]
+        m = margins(*kept)
+        i = int(np.argmin(m))
+        if float(m[i]) < best:
+            best = float(m[i])
+            row = tuple(c[i] for c in kept)
+        checked += take
+    return best, row, checked, drawn
+
+
 # ----------------------------------------------------------------------
 # grid scans
 # ----------------------------------------------------------------------
 
-def scan_sq_ratio(cfg: ScanConfig) -> ScanReport:
-    """Check that R(x) = H(x^2)/H(x) increases across the grid."""
+def _pair_scan(name: str, cfg: ScanConfig, curve_arr) -> ScanReport:
+    """Worst increase of ``curve_arr`` between consecutive grid points."""
     xs = _grid(cfg)
-    vals = entropy_sq_ratio_arr(xs)
+    vals = curve_arr(xs)
     diffs = vals[1:] - vals[:-1]
     i = int(np.argmin(diffs))
-    witness = (float(xs[i]), float(xs[i + 1]))
-    certified = entropy_sq_ratio(witness[1]) - entropy_sq_ratio(witness[0])
-    details = {
-        "vector_min_margin": float(diffs[i]),
-        "route_gap": abs(certified - float(diffs[i])),
-    }
-    return make_report(
-        "sq-ratio", xs.size, certified, witness, cfg.tolerance,
-        config=_config_dict(cfg), details=details,
+    return _certified(
+        name, xs.size, float(diffs[i]), (float(xs[i]), float(xs[i + 1])),
+        cfg.tolerance, _config_dict(cfg), {},
     )
+
+
+def scan_sq_ratio(cfg: ScanConfig) -> ScanReport:
+    """Check that R(x) = H(x^2)/H(x) increases across the grid."""
+    return _pair_scan("sq-ratio", cfg, entropy_sq_ratio_arr)
 
 
 def scan_sq_ratio_scaled(cfg: ScanConfig) -> ScanReport:
@@ -547,20 +614,7 @@ def scan_sq_ratio_scaled(cfg: ScanConfig) -> ScanReport:
         raise PreconditionError(
             "the scaled ratio is only monotone from the golden threshold up"
         )
-    xs = _grid(cfg)
-    vals = entropy_sq_ratio_scaled_arr(xs)
-    diffs = vals[1:] - vals[:-1]
-    i = int(np.argmin(diffs))
-    witness = (float(xs[i]), float(xs[i + 1]))
-    certified = entropy_sq_ratio_scaled(witness[1]) - entropy_sq_ratio_scaled(witness[0])
-    details = {
-        "vector_min_margin": float(diffs[i]),
-        "route_gap": abs(certified - float(diffs[i])),
-    }
-    return make_report(
-        "sq-ratio-scaled", xs.size, certified, witness, cfg.tolerance,
-        config=_config_dict(cfg), details=details,
-    )
+    return _pair_scan("sq-ratio-scaled", cfg, entropy_sq_ratio_scaled_arr)
 
 
 def scan_rate_convexity(alpha: float, cfg: ScanConfig) -> ScanReport:
@@ -575,15 +629,9 @@ def scan_rate_convexity(alpha: float, cfg: ScanConfig) -> ScanReport:
     d2 = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
     i = int(np.argmin(d2))
     witness = (float(xs[i]), float(xs[i + 1]), float(xs[i + 2]))
-    a, b, c = (composed_rate(alpha, w) for w in witness)
-    certified = a - 2.0 * b + c
-    details = {
-        "vector_min_margin": float(d2[i]),
-        "route_gap": abs(certified - float(d2[i])),
-    }
-    return make_report(
-        "rate-convexity", xs.size, certified, witness, cfg.tolerance,
-        config=_config_dict(cfg, alpha=alpha), details=details,
+    return _certified(
+        "rate-convexity", xs.size, float(d2[i]), witness, cfg.tolerance,
+        _config_dict(cfg, alpha=alpha), {},
     )
 
 
@@ -597,21 +645,17 @@ def scan_tail_rate(cfg: ScanConfig) -> ScanReport:
     j = int(np.argmin(pointwise))
     if float(diffs[i]) <= float(pointwise[j]):
         witness: tuple = (float(zs[i]), float(zs[i + 1]))
-        certified = tail_rate(witness[0]) - tail_rate(witness[1])
         vector_min = float(diffs[i])
     else:
         witness = (float(zs[j]),)
-        certified = -witness[0] - math.log1p(-witness[0])
         vector_min = float(pointwise[j])
     details = {
-        "vector_min_margin": vector_min,
-        "route_gap": abs(certified - vector_min),
         "min_pair_margin": float(diffs[i]),
         "min_pointwise_margin": float(pointwise[j]),
     }
-    return make_report(
-        "tail-rate", zs.size, certified, witness, cfg.tolerance,
-        config=_config_dict(cfg), details=details,
+    return _certified(
+        "tail-rate", zs.size, vector_min, witness, cfg.tolerance,
+        _config_dict(cfg), details,
     )
 
 
@@ -660,79 +704,73 @@ def _product_margins_arr(w: np.ndarray, v: np.ndarray, beta: np.ndarray) -> np.n
     return lhs - ratio * u
 
 
-def _random_margin_scan(name: str, cfg: ScanConfig, side: str) -> ScanReport:
-    """Shared engine: rejection-sample (d, level) pairs, track the worst margin.
+def _level_witness(row: tuple) -> tuple:
+    """``(level, weights, values)`` of a kept ``(w, v, level)`` row."""
+    w, v, level = row
+    return (float(level), *_witness_atoms(w, v))
 
-    ``side`` selects the conditioning: "union" keeps mean <= level with the
-    level drawn from (range_lo, range_hi], "product" keeps mean >= level
-    with the level drawn from [range_lo, range_hi).
-    """
-    rng = np.random.default_rng(cfg.seed)
-    needed = cfg.random_samples
-    if needed <= 0:
+
+def _level_scan(name: str, cfg: ScanConfig, draw, margins) -> ScanReport:
+    """Report the worst of ``cfg.random_samples`` kept ``(w, v, level)`` rows."""
+    if cfg.random_samples <= 0:
         raise ValueError("random_samples must be positive for this scan")
-    span = cfg.range_hi - cfg.range_lo
-    best = math.inf
-    best_witness: tuple = ()
-    checked = 0
-    drawn = 0
-    while checked < needed:
-        w, v = _sample_batch(rng, _BATCH)
-        drawn += _BATCH
-        if side == "union":
-            level = cfg.range_hi - span * rng.uniform(size=_BATCH)
-            keep = np.einsum("ij,ij->i", w, v) <= level
-        else:
-            level = cfg.range_lo + span * rng.uniform(size=_BATCH)
-            keep = np.einsum("ij,ij->i", w, v) >= level
-        if not keep.any():
-            continue
-        w2, v2, lv2 = w[keep], v[keep], level[keep]
-        take = min(w2.shape[0], needed - checked)
-        w2, v2, lv2 = w2[:take], v2[:take], lv2[:take]
-        if side == "union":
-            margins = _union_margins_arr(w2, v2, lv2)
-        else:
-            margins = _product_margins_arr(w2, v2, lv2)
-        i = int(np.argmin(margins))
-        if float(margins[i]) < best:
-            best = float(margins[i])
-            ws, vs = _witness_atoms(w2[i], v2[i])
-            best_witness = (float(lv2[i]), ws, vs)
-        checked += take
-    level, ws, vs = best_witness
-    d = FiniteDistribution(zip(ws, vs))
-    if side == "union":
-        certified = union_bound_margin(d, level)
-    else:
-        certified = product_bound_margin(d, level)
-    details = {
-        "vector_min_margin": best,
-        "route_gap": abs(certified - best),
-        "raw_draws": drawn,
-    }
-    return make_report(
-        name, checked, certified, best_witness, cfg.tolerance,
-        config=_config_dict(cfg), details=details,
+    best, row, checked, drawn = _worst_rows(cfg.random_samples, draw, margins)
+    return _certified(
+        name, checked, best, _level_witness(row), cfg.tolerance,
+        _config_dict(cfg), {"raw_draws": drawn},
     )
 
 
 def scan_union_bound(cfg: ScanConfig) -> ScanReport:
-    """Randomized check of the union bound on (d, alpha) with mean <= alpha."""
+    """Randomized check of the union bound on (d, alpha) with mean <= alpha.
+
+    Levels are drawn from (range_lo, range_hi].
+    """
     if not (0.0 <= cfg.range_lo < cfg.range_hi <= FREQUENCY_BOUND + 1e-15):
         raise PreconditionError(
             f"alpha range must sit inside (0, {FREQUENCY_BOUND}]"
         )
-    return _random_margin_scan("union-bound", cfg, "union")
+    rng = np.random.default_rng(cfg.seed)
+    span = cfg.range_hi - cfg.range_lo
+
+    def draw():
+        w, v = _sample_batch(rng, _BATCH)
+        level = cfg.range_hi - span * rng.uniform(size=_BATCH)
+        return np.einsum("ij,ij->i", w, v) <= level, w, v, level
+
+    return _level_scan("union-bound", cfg, draw, _union_margins_arr)
+
+
+def _draw_mean_above(rng: np.random.Generator, lo: float, hi: float):
+    """A ``draw`` for :func:`_worst_rows`: ``(w, v, level)`` rows, kept where
+    the mean reaches a level drawn from [lo, hi)."""
+    span = hi - lo
+
+    def draw():
+        w, v = _sample_batch(rng, _BATCH)
+        level = lo + span * rng.uniform(size=_BATCH)
+        return np.einsum("ij,ij->i", w, v) >= level, w, v, level
+
+    return draw
 
 
 def scan_product_bound(cfg: ScanConfig) -> ScanReport:
-    """Randomized check of the product bound on (d, beta) with mean >= beta."""
+    """Randomized check of the product bound on (d, beta) with mean >= beta.
+
+    Levels are drawn from [range_lo, range_hi).
+    """
     if not (GOLDEN_THRESHOLD - 1e-15 <= cfg.range_lo < cfg.range_hi <= 1.0):
         raise PreconditionError(
             f"beta range must sit inside [{GOLDEN_THRESHOLD}, 1)"
         )
-    return _random_margin_scan("product-bound", cfg, "product")
+    rng = np.random.default_rng(cfg.seed)
+    draw = _draw_mean_above(rng, cfg.range_lo, cfg.range_hi)
+    return _level_scan("product-bound", cfg, draw, _product_margins_arr)
+
+
+def _bridge_margin(bound: float, witness: tuple) -> float:
+    """``bound`` minus the complement gap at a ``(beta, weights, values)`` witness."""
+    return bound - complement_bridge_gap(*_at_level(witness))
 
 
 def bridge_gap_scan(
@@ -741,34 +779,28 @@ def bridge_gap_scan(
     """Check the complement bridge on paired random instances.
 
     Margin convention: bound - gap per pair, so the report passes at
-    tolerance zero iff every pair agrees within ``bound``.
+    tolerance zero iff every pair agrees within ``bound``.  Every pair
+    goes through the scalar route; there is no vector route to certify.
     """
     rng = np.random.default_rng(seed)
-    span = 1.0 - GOLDEN_THRESHOLD
-    best = math.inf
-    best_witness: tuple = ()
-    checked = 0
-    while checked < samples:
-        w, v = _sample_batch(rng, _BATCH)
-        beta = GOLDEN_THRESHOLD + span * rng.uniform(size=_BATCH)
-        keep = np.einsum("ij,ij->i", w, v) >= beta
-        if not keep.any():
-            continue
-        w2, v2, b2 = w[keep], v[keep], beta[keep]
-        take = min(w2.shape[0], samples - checked)
-        for row in range(take):
-            ws, vs = _witness_atoms(w2[row], v2[row])
-            d = FiniteDistribution(zip(ws, vs))
-            margin = bound - complement_bridge_gap(d, float(b2[row]))
-            if margin < best:
-                best = margin
-                best_witness = (float(b2[row]), ws, vs)
-        checked += take
-    details = {"bound": bound}
-    return make_report(
-        "bridge-gap", checked, best, best_witness, 0.0,
-        config={"random_samples": samples, "seed": seed}, details=details,
+
+    def margins(w, v, beta):
+        return np.array([_bridge_margin(bound, _level_witness(row))
+                         for row in zip(w, v, beta)])
+
+    best, row, checked, _ = _worst_rows(
+        samples, _draw_mean_above(rng, GOLDEN_THRESHOLD, 1.0), margins
     )
+    return make_report(
+        "bridge-gap", checked, best, _level_witness(row) if row else (), 0.0,
+        config={"random_samples": samples, "seed": seed}, details={"bound": bound},
+    )
+
+
+def _threshold_margin(witness: tuple) -> float:
+    """Product-bound margin at a ``(beta, weights, values)`` witness, below
+    the golden threshold too."""
+    return product_bound_margin(*_at_level(witness), enforce_threshold=False)
 
 
 def threshold_exploration(cfg: ScanConfig) -> ScanReport:
@@ -802,27 +834,20 @@ def threshold_exploration(cfg: ScanConfig) -> ScanReport:
             (qstar, 1.0 - qstar) if qstar < 1.0 else (1.0,),
             (vstar, 0.0) if qstar < 1.0 else (vstar,),
         )
-        row_points = vs.size
-        got = 0
-        while got < cfg.random_samples:
+
+        def draw():
             w, v = _sample_batch(rng, _BATCH)
-            keep = np.einsum("ij,ij->i", w, v) >= beta
-            if not keep.any():
-                continue
-            w2, v2 = w[keep], v[keep]
-            take = min(w2.shape[0], cfg.random_samples - got)
-            w2, v2 = w2[:take], v2[:take]
-            margins = _product_margins_arr(w2, v2, np.full(take, beta))
-            j = int(np.argmin(margins))
-            if float(margins[j]) < row_best:
-                row_best = float(margins[j])
-                ws, vals = _witness_atoms(w2[j], v2[j])
-                row_witness = (beta, ws, vals)
-            got += take
-        row_points += got
+            return np.einsum("ij,ij->i", w, v) >= beta, w, v
+
+        def margins(w, v):
+            return _product_margins_arr(w, v, np.full(w.shape[0], beta))
+
+        sampled, row, got, _ = _worst_rows(cfg.random_samples, draw, margins)
+        if sampled < row_best:
+            row_witness = (beta, *_witness_atoms(*row))
+        row_points = vs.size + got
         total += row_points
-        d = FiniteDistribution(zip(row_witness[1], row_witness[2]))
-        certified = product_bound_margin(d, beta, enforce_threshold=False)
+        certified = _threshold_margin(row_witness)
         rows.append({
             "beta": beta,
             "min_margin": certified,
@@ -884,19 +909,16 @@ def merge_property_scan(cfg: ScanConfig) -> ScanReport:
         np.minimum(worst, m, out=worst)
     i = int(np.argmin(worst))
     witness = (float(p1[i]), float(x1[i]), float(p2[i]), float(x2[i]))
-    certified = merge_quadruple_margin(*witness)
     details = {
-        "vector_min_margin": float(worst[i]),
-        "route_gap": abs(certified - float(worst[i])),
         "max_mean_residual": float(cons_mean.max()),
         "max_entropy_residual": float(cons_ent.max()),
         "max_weight_excess": float(weight_excess.max()),
         "mean_residual_bound": MERGE_CONSERVATION_TOL,
         "weight_excess_bound": MERGE_WEIGHT_TOL,
     }
-    report = make_report(
-        "merge-properties", n, certified, witness, cfg.tolerance,
-        config=_config_dict(cfg), details=details,
+    report = _certified(
+        "merge-properties", n, float(worst[i]), witness, cfg.tolerance,
+        _config_dict(cfg), details,
     )
     ok = (
         report.passed
@@ -977,22 +999,15 @@ def optimum_search_scan(cfg: ScanConfig, pairs: int = 100) -> ScanReport:
             best = float(margins[i])
             ws, vs = _witness_atoms(w2[i], v2[i])
             best_witness = (t, u, ws, vs)
-    certified = best
-    route_gap = 0.0
-    if best_witness:
-        certified = optimum_candidate_margin(*best_witness)
-        route_gap = abs(certified - best)
     details = {
         "pairs": pairs,
         "qualified_candidates": qualified,
-        "vector_min_margin": best,
-        "route_gap": route_gap,
         "slack": 1e-4,
         "pair_level_min_margin": pair_undercut,
     }
-    return make_report(
-        "optimum-search", qualified, certified, best_witness, 0.0,
-        config=_config_dict(cfg), details=details,
+    return _certified(
+        "optimum-search", qualified, best, best_witness, 0.0,
+        _config_dict(cfg), details,
     )
 
 
@@ -1023,29 +1038,43 @@ def kernel_roundtrip_scan(
     m_y = rate_tol * np.maximum(1.0, ys) - resid
     j = int(np.argmin(m_y))
     if float(m_x[i]) <= float(m_y[j]):
-        x = float(xs[i])
-        witness: tuple = ("roundtrip-x", x)
-        certified = x_tol - abs(inverse_entropy_rate(entropy_rate(x)) - x)
+        witness: tuple = ("roundtrip-x", float(xs[i]))
         vector_min = float(m_x[i])
     else:
-        yv = float(ys[j])
-        witness = ("roundtrip-rate", yv)
-        certified = rate_tol * max(1.0, yv) - abs(
-            entropy_rate(inverse_entropy_rate(yv)) - yv
-        )
+        witness = ("roundtrip-rate", float(ys[j]))
         vector_min = float(m_y[j])
     details = {
-        "vector_min_margin": vector_min,
-        "route_gap": abs(certified - vector_min),
         "x_tol": x_tol,
         "rate_tol": rate_tol,
         "min_x_margin": float(m_x[i]),
         "min_rate_margin": float(m_y[j]),
     }
-    return make_report(
-        "kernel-roundtrip", xs.size + ys.size, certified, witness, 0.0,
-        config=_config_dict(cfg), details=details,
+    return _certified(
+        "kernel-roundtrip", xs.size + ys.size, vector_min, witness, 0.0,
+        _config_dict(cfg), details,
     )
+
+
+#: The golden-threshold identities, each as tag -> (the details key of its
+#: bound, its residual at b).  Every residual vanishes in exact arithmetic.
+_GOLDEN_IDENTITIES: dict[str, tuple[str, Callable[[float], float]]] = {
+    "sq-ratio-at-golden": ("identity_tol", lambda b: entropy_sq_ratio(b) - 1.0),
+    "square-vs-complement": ("identity_tol", lambda b: b * b - (1.0 - b)),
+    "single-atom-margin": (
+        "margin_tol",
+        lambda b: product_bound_margin(FiniteDistribution([(1.0, b)]), b),
+    ),
+    "scaled-ratio-at-golden": (
+        "identity_tol",
+        lambda b: entropy_sq_ratio_scaled(b) - (math.sqrt(5.0) + 1.0) / 2.0,
+    ),
+}
+
+
+def _golden_margin(tag: str, b: float, bounds: dict) -> float:
+    """Bound minus residual of one golden identity at ``b``."""
+    key, residual = _GOLDEN_IDENTITIES[tag]
+    return bounds[key] - abs(residual(b))
 
 
 def golden_anchor_check(
@@ -1057,27 +1086,150 @@ def golden_anchor_check(
     the single-atom product bound is exactly tight.
     """
     b = GOLDEN_THRESHOLD
-    checks = [
-        ("sq-ratio-at-golden", identity_tol - abs(entropy_sq_ratio(b) - 1.0)),
-        ("square-vs-complement", identity_tol - abs(b * b - (1.0 - b))),
-        (
-            "single-atom-margin",
-            margin_tol - abs(product_bound_margin(FiniteDistribution([(1.0, b)]), b)),
-        ),
-        (
-            "scaled-ratio-at-golden",
-            identity_tol - abs(entropy_sq_ratio_scaled(b) - (math.sqrt(5.0) + 1.0) / 2.0),
-        ),
-    ]
+    bounds = {"identity_tol": identity_tol, "margin_tol": margin_tol}
+    checks = [(tag, _golden_margin(tag, b, bounds)) for tag in _GOLDEN_IDENTITIES]
     tag, worst = min(checks, key=lambda c: c[1])
-    details = {name: margin for name, margin in checks}
-    details["identity_tol"] = identity_tol
-    details["margin_tol"] = margin_tol
+    details = {**dict(checks), **bounds}
     return make_report(
         "golden-anchor", len(checks), worst, (tag, b), 0.0, config={}, details=details,
     )
 
 
+# ----------------------------------------------------------------------
+# set-family engines
+# ----------------------------------------------------------------------
+
+def _shannon_rows(p: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
+    return -terms.sum(axis=1)
+
+
+def subset_entropy_scan(cfg: ScanConfig, ground_n: int = 4) -> ScanReport:
+    """Randomized check of the subset union entropy bound over [ground_n].
+
+    Draws subset distributions from three samplers (dense, small-set
+    biased, sparse support), pairs each with a level alpha from
+    (0, FREQUENCY_BOUND], keeps instances whose marginals all sit at or
+    below alpha, and tracks the worst margin.  Point masses are skipped:
+    there both sides of the bound are zero, so the margin 0 says nothing
+    about how tight the bound is.  The reported minimum is certified
+    through the scalar :func:`union_entropy_margin`.
+    """
+    if not (1 <= ground_n <= MAX_ENUM_GROUND):
+        raise SetFamilyError(
+            f"the vector engine needs 1 <= ground_n <= {MAX_ENUM_GROUND}"
+        )
+    n_masks = 1 << ground_n
+    masks = np.arange(n_masks)
+    bits = ((masks[:, None] >> np.arange(ground_n)[None, :]) & 1).astype(float)
+    popcount = bits.sum(axis=1)
+    uni = np.bitwise_or.outer(masks, masks)
+    scatter = np.zeros((n_masks, n_masks, n_masks))
+    ii, jj = np.meshgrid(masks, masks, indexing="ij")
+    scatter[ii, jj, uni] = 1.0
+
+    rng = np.random.default_rng(cfg.seed)
+    batch = 16384
+
+    def draw():
+        raw = rng.exponential(size=(batch, n_masks))
+        style = rng.integers(0, 3, size=batch)
+        # small-set bias: damp each mask by 3^popcount
+        raw = np.where((style == 1)[:, None], raw * 3.0 ** -popcount[None, :], raw)
+        # sparse support: keep each mask with chance 1/4, empty set as fallback
+        keep_mask = rng.uniform(size=(batch, n_masks)) < 0.25
+        keep_mask[:, 0] = True
+        raw = np.where((style == 2)[:, None], raw * keep_mask, raw)
+        probs = raw / raw.sum(axis=1, keepdims=True)
+        alpha = FREQUENCY_BOUND * (1.0 - rng.uniform(size=batch))
+        keep = ((probs @ bits).max(axis=1) <= alpha) & (probs.max(axis=1) < 1.0)
+        return keep, probs, alpha
+
+    def margins(p, a):
+        pun = np.einsum("nab,abm->nm", np.einsum("na,nb->nab", p, p), scatter)
+        ratio = binary_entropy_arr(a * a) / binary_entropy_arr(a)
+        return _shannon_rows(pun) - ratio * _shannon_rows(p)
+
+    best, (p, a), checked, drawn = _worst_rows(cfg.random_samples, draw, margins)
+    sel = p > 0.0
+    witness = (
+        float(a),
+        tuple(float(x) for x in p[sel]),
+        tuple(int(m) for m in masks[sel]),
+    )
+    return _certified(
+        "subset-entropy", checked, best, witness, cfg.tolerance,
+        {"random_samples": cfg.random_samples, "seed": cfg.seed},
+        {"raw_draws": drawn, "ground_n": ground_n},
+    )
+
+
+def family_sweep_scan(ground_n: int = 4) -> ScanReport:
+    """Exhaustive frequency-bound sweep over all families up to ``ground_n``.
+
+    Every nonempty union-closed family other than the degenerate one must
+    meet the bound by the exact integer test; the float margin is recorded
+    and its minimum reported.  Also tallies the stronger 1/2 bound, which
+    holds throughout this range but is recorded as conjecture evidence,
+    not as a contract of the toolkit.
+    """
+    rows = family_census(ground_n)
+    if not rows:
+        raise SetFamilyError("nothing to sweep: only the degenerate family exists")
+    worst = min(rows, key=lambda r: r["margin"])
+    exact_ok = all(r["meets_bound"] for r in rows)
+    half_ok = all(r["meets_half"] for r in rows)
+    details = {
+        "families_checked": len(rows),
+        "exact_bound_holds": exact_ok,
+        "half_bound_holds": half_ok,
+        "worst_family_id": worst["family_id"],
+        "worst_frequency": (
+            worst["max_frequency_num"], worst["max_frequency_den"]
+        ),
+        "ground_n": ground_n,
+    }
+    report = make_report(
+        "family-sweep", len(rows), worst["margin"],
+        (worst["family_id"], worst["max_frequency_num"], worst["max_frequency_den"]),
+        0.0, config={"ground_n": ground_n}, details=details,
+    )
+    if not exact_ok:
+        report = replace(report, passed=False)
+    return report
+
+
+def _uniform_bridge_margin(f: SetFamily, slack: float) -> float:
+    """H(A) + slack - H(A | B) for the uniform distribution on ``f``."""
+    d = SubsetDistribution.uniform_on(f)
+    return d.entropy() + slack - union_distribution(d).entropy()
+
+
+def uniform_bridge_scan(max_ground_n: int = 3) -> ScanReport:
+    """Check the uniform-distribution bridge on every small closed family.
+
+    For the uniform distribution on a union-closed family, the union
+    distribution stays supported inside the family, so its entropy cannot
+    exceed the uniform entropy.  Margin: H(A) + slack - H(A | B) with a
+    slack of 1e-12, judged at tolerance zero.
+    """
+    slack = 1e-12
+    best = math.inf
+    best_witness: tuple = ()
+    count = 0
+    for n in range(max_ground_n + 1):
+        for f in enumerate_union_closed(n):
+            margin = _uniform_bridge_margin(f, slack)
+            count += 1
+            if margin < best:
+                best = margin
+                best_witness = (n, family_code(f))
+    details = {"slack": slack, "max_ground_n": max_ground_n}
+    return make_report(
+        "entropy-bridge", count, best, best_witness, 0.0,
+        config={"max_ground_n": max_ground_n}, details=details,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1157,8 +1309,7 @@ def _replay_subset(report: ScanReport) -> float:
 
 def _replay_uniform_bridge(report: ScanReport) -> float:
     n, code = report.argmin_witness
-    d = SubsetDistribution.uniform_on(family_from_code(code, n))
-    return d.entropy() + report.details["slack"] - union_distribution(d).entropy()
+    return _uniform_bridge_margin(family_from_code(code, n), report.details["slack"])
 
 
 #: Every check, in ``verify-all`` order.  The run functions look the scan
@@ -1170,7 +1321,7 @@ CHECKS: dict[str, Check] = {c.name: c for c in (
     ),
     Check(
         "golden-anchor", "kernel", None, _run_anchor,
-        lambda r: r.details[r.argmin_witness[0]],
+        lambda r: _golden_margin(*r.argmin_witness, r.details),
     ),
     Check(
         "merge-properties", "distribution",
@@ -1240,16 +1391,14 @@ CHECKS: dict[str, Check] = {c.name: c for c in (
         lambda cfg, alpha, tol: bridge_gap_scan(
             samples=cfg.random_samples, seed=cfg.seed, bound=cfg.tolerance
         ),
-        lambda r: r.details["bound"] - complement_bridge_gap(*_at_level(r.argmin_witness)),
+        lambda r: _bridge_margin(r.details["bound"], r.argmin_witness),
     ),
     Check(
         "threshold", "scans",
         ScanConfig(grid_step=0.01, random_samples=10_000, seed=42, tolerance=1e-9,
                    range_lo=0.55, range_hi=0.70),
         lambda cfg, alpha, tol: threshold_exploration(cfg),
-        lambda r: product_bound_margin(
-            *_at_level(r.argmin_witness), enforce_threshold=False
-        ),
+        lambda r: _threshold_margin(r.argmin_witness),
     ),
     Check(
         "subset-entropy", "setfamily",

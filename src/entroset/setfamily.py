@@ -1,10 +1,14 @@
-"""Union-closed set families over small ground sets, and their entropy checks.
+"""Union-closed set families over small ground sets: the combinatorics.
 
 Sets are bitmasks over a ground set of at most 16 elements (bit i set means
 element i is in; labels are 0-based).  A family is a sorted tuple of member
-masks; a subset distribution assigns probabilities to masks.
+masks; a subset distribution assigns probabilities to masks.  This module
+holds families, union closure, exhaustive enumeration and its census,
+subset distributions, and the family file format.  The scans built on them
+(``subset-entropy``, ``family-sweep``, ``entropy-bridge``) live in
+:mod:`entroset.scans` with every other scan engine.
 
-Two checks live here:
+Two margins live here:
 
 * ``frequency_bound_margin``: for a union-closed family, some element
   belongs to at least a FREQUENCY_BOUND fraction of the members.  The
@@ -23,15 +27,15 @@ log2(size) is an upper bound for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .kernel import FREQUENCY_BOUND, binary_entropy, binary_entropy_arr, as_prob
-from .report import PreconditionError, ScanConfig, ScanReport, make_report
+from .kernel import FREQUENCY_BOUND, binary_entropy, as_prob
+from .report import PreconditionError
 
 __all__ = [
     "SetFamilyError",
@@ -57,9 +61,6 @@ __all__ = [
     "load_family",
     "dump_family",
     "family_text",
-    "subset_entropy_scan",
-    "family_sweep_scan",
-    "uniform_bridge_scan",
     "MAX_GROUND",
     "MAX_ENUM_GROUND",
     "MAX_UNION_SUPPORT",
@@ -379,15 +380,12 @@ def union_entropy_margin(d: SubsetDistribution, alpha: float) -> float:
     return union_distribution(d).entropy() - ratio * d.entropy()
 
 
-def enumerate_union_closed(
-    ground_n: int, start: int = 1, stop: int | None = None
-) -> Iterator[SetFamily]:
+def enumerate_union_closed(ground_n: int) -> Iterator[SetFamily]:
     """Yield every nonempty union-closed family over ``ground_n`` elements.
 
     Families are encoded as bitsets over the power set (bit m set means
     mask m is a member) and visited in ascending code order, so the
-    stream is canonical.  ``start``/``stop`` bound the candidate codes,
-    letting callers partition the sweep and merge results.
+    stream is canonical.
     """
     ground_n = int(ground_n)
     if not (0 <= ground_n <= MAX_ENUM_GROUND):
@@ -395,12 +393,7 @@ def enumerate_union_closed(
             f"exhaustive enumeration needs ground_n <= {MAX_ENUM_GROUND}"
         )
     n_masks = 1 << ground_n
-    limit = 1 << n_masks
-    if stop is None:
-        stop = limit
-    start = max(int(start), 1)
-    stop = min(int(stop), limit)
-    for code in range(start, stop):
+    for code in range(1, 1 << n_masks):
         members = [m for m in range(n_masks) if code >> m & 1]
         closed = True
         for i, a in enumerate(members):
@@ -427,9 +420,7 @@ def family_from_code(code: int, ground_n: int) -> SetFamily:
     return SetFamily(ground_n, (m for m in range(1 << ground_n) if code >> m & 1))
 
 
-def family_census(
-    ground_n: int, start: int = 1, stop: int | None = None
-) -> list[dict]:
+def family_census(ground_n: int) -> list[dict]:
     """Census rows for every enumerated family except the degenerate one.
 
     Each row carries the family code, its size, the max frequency as an
@@ -437,7 +428,7 @@ def family_census(
     exact verdicts for the bound and for the stronger 1/2 conjecture.
     """
     rows = []
-    for f in enumerate_union_closed(ground_n, start=start, stop=stop):
+    for f in enumerate_union_closed(ground_n):
         if f.is_degenerate():
             continue
         prof = frequency_profile(f)
@@ -542,155 +533,3 @@ def load_family(path: str | Path) -> SetFamily:
 def dump_family(f: SetFamily, path: str | Path) -> None:
     """Write a family file in canonical sorted order."""
     Path(path).write_text(family_text(f), encoding="utf-8")
-
-
-# ----------------------------------------------------------------------
-# scan engines
-# ----------------------------------------------------------------------
-
-def _shannon_rows(p: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
-    return -terms.sum(axis=1)
-
-
-def subset_entropy_scan(cfg: ScanConfig, ground_n: int = 4) -> ScanReport:
-    """Randomized check of the subset union entropy bound over [ground_n].
-
-    Draws subset distributions from three samplers (dense, small-set
-    biased, sparse support), pairs each with a level alpha from
-    (0, FREQUENCY_BOUND], keeps instances whose marginals all sit at or
-    below alpha, and tracks the worst margin.  The reported minimum is
-    re-certified through the scalar :func:`union_entropy_margin`.
-    """
-    if not (1 <= ground_n <= MAX_ENUM_GROUND):
-        raise SetFamilyError(
-            f"the vector engine needs 1 <= ground_n <= {MAX_ENUM_GROUND}"
-        )
-    n_masks = 1 << ground_n
-    masks = np.arange(n_masks)
-    bits = ((masks[:, None] >> np.arange(ground_n)[None, :]) & 1).astype(float)
-    popcount = bits.sum(axis=1)
-    uni = np.bitwise_or.outer(masks, masks)
-    scatter = np.zeros((n_masks, n_masks, n_masks))
-    ii, jj = np.meshgrid(masks, masks, indexing="ij")
-    scatter[ii, jj, uni] = 1.0
-
-    rng = np.random.default_rng(cfg.seed)
-    needed = cfg.random_samples
-    batch = 16384
-    best = math.inf
-    best_witness: tuple = ()
-    checked = 0
-    drawn = 0
-    while checked < needed:
-        raw = rng.exponential(size=(batch, n_masks))
-        style = rng.integers(0, 3, size=batch)
-        # small-set bias: damp each mask by 3^popcount
-        raw = np.where((style == 1)[:, None], raw * 3.0 ** -popcount[None, :], raw)
-        # sparse support: keep each mask with chance 1/4, empty set as fallback
-        keep_mask = rng.uniform(size=(batch, n_masks)) < 0.25
-        keep_mask[:, 0] = True
-        raw = np.where((style == 2)[:, None], raw * keep_mask, raw)
-        probs = raw / raw.sum(axis=1, keepdims=True)
-        alpha = FREQUENCY_BOUND * (1.0 - rng.uniform(size=batch))
-        margs = probs @ bits
-        ok = margs.max(axis=1) <= alpha
-        drawn += batch
-        if not ok.any():
-            continue
-        p2, a2 = probs[ok], alpha[ok]
-        take = min(p2.shape[0], needed - checked)
-        p2, a2 = p2[:take], a2[:take]
-        pout = np.einsum("na,nb->nab", p2, p2)
-        pun = np.einsum("nab,abm->nm", pout, scatter)
-        h_in = _shannon_rows(p2)
-        h_un = _shannon_rows(pun)
-        ratio = binary_entropy_arr(a2 * a2) / binary_entropy_arr(a2)
-        margins = h_un - ratio * h_in
-        i = int(np.argmin(margins))
-        if float(margins[i]) < best:
-            best = float(margins[i])
-            sel = p2[i] > 0.0
-            best_witness = (
-                float(a2[i]),
-                tuple(float(x) for x in p2[i][sel]),
-                tuple(int(m) for m in masks[sel]),
-            )
-        checked += take
-    level, ps, ms = best_witness
-    d = SubsetDistribution(ground_n, zip(ps, ms))
-    certified = union_entropy_margin(d, level)
-    details = {
-        "vector_min_margin": best,
-        "route_gap": abs(certified - best),
-        "raw_draws": drawn,
-        "ground_n": ground_n,
-    }
-    return make_report(
-        "subset-entropy", checked, certified, best_witness, cfg.tolerance,
-        config={"random_samples": cfg.random_samples, "seed": cfg.seed},
-        details=details,
-    )
-
-
-def family_sweep_scan(ground_n: int = 4) -> ScanReport:
-    """Exhaustive frequency-bound sweep over all families up to ``ground_n``.
-
-    Every nonempty union-closed family other than the degenerate one must
-    meet the bound by the exact integer test; the float margin is recorded
-    and its minimum reported.  Also tallies the stronger 1/2 bound, which
-    holds throughout this range but is recorded as conjecture evidence,
-    not as a contract of the toolkit.
-    """
-    rows = family_census(ground_n)
-    if not rows:
-        raise SetFamilyError("nothing to sweep: only the degenerate family exists")
-    worst = min(rows, key=lambda r: r["margin"])
-    exact_ok = all(r["meets_bound"] for r in rows)
-    half_ok = all(r["meets_half"] for r in rows)
-    details = {
-        "families_checked": len(rows),
-        "exact_bound_holds": exact_ok,
-        "half_bound_holds": half_ok,
-        "worst_family_id": worst["family_id"],
-        "worst_frequency": (
-            worst["max_frequency_num"], worst["max_frequency_den"]
-        ),
-        "ground_n": ground_n,
-    }
-    report = make_report(
-        "family-sweep", len(rows), worst["margin"],
-        (worst["family_id"], worst["max_frequency_num"], worst["max_frequency_den"]),
-        0.0, config={"ground_n": ground_n}, details=details,
-    )
-    if not exact_ok:
-        report = replace(report, passed=False)
-    return report
-
-
-def uniform_bridge_scan(max_ground_n: int = 3) -> ScanReport:
-    """Check the uniform-distribution bridge on every small closed family.
-
-    For the uniform distribution on a union-closed family, the union
-    distribution stays supported inside the family, so its entropy cannot
-    exceed the uniform entropy.  Margin: H(A) + BRIDGE_SLACK - H(A | B),
-    judged at tolerance zero.
-    """
-    slack = 1e-12
-    best = math.inf
-    best_witness: tuple = ()
-    count = 0
-    for n in range(max_ground_n + 1):
-        for f in enumerate_union_closed(n):
-            d = SubsetDistribution.uniform_on(f)
-            margin = d.entropy() + slack - union_distribution(d).entropy()
-            count += 1
-            if margin < best:
-                best = margin
-                best_witness = (n, family_code(f))
-    details = {"slack": slack, "max_ground_n": max_ground_n}
-    return make_report(
-        "entropy-bridge", count, best, best_witness, 0.0,
-        config={"max_ground_n": max_ground_n}, details=details,
-    )

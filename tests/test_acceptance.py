@@ -28,15 +28,13 @@ from entroset.scans import (
     product_bound_margin,
     reduction_consistency_scan,
     run_named_scan,
+    family_sweep_scan,
     scan_product_bound,
     scan_union_bound,
-)
-from entroset.setfamily import (
-    enumerate_union_closed,
-    family_sweep_scan,
     subset_entropy_scan,
     uniform_bridge_scan,
 )
+from entroset.setfamily import enumerate_union_closed
 
 
 def test_criterion_1_golden_anchor():

@@ -19,7 +19,6 @@ from entroset.kernel import (
     FREQUENCY_BOUND,
     GOLDEN_THRESHOLD,
     KERNEL_TOL,
-    RatePoint,
     as_prob,
     binary_entropy,
     binary_entropy_arr,
@@ -30,7 +29,6 @@ from entroset.kernel import (
     entropy_rate_deriv,
     inverse_entropy_rate,
     inverse_entropy_rate_arr,
-    rate_point,
 )
 
 mpmath.mp.dps = 50
@@ -212,19 +210,6 @@ class TestInverseRate:
     def test_round_trip_property(self, y):
         x = inverse_entropy_rate(y)
         assert abs(entropy_rate(x) - y) <= KERNEL_TOL * max(1.0, y)
-
-
-class TestRatePoint:
-    def test_construction(self):
-        p = rate_point(0.25)
-        assert p.x == 0.25
-        assert p.y == entropy_rate(0.25)
-
-    def test_rejects_off_curve_points(self):
-        with pytest.raises(DomainError):
-            RatePoint(0.25, entropy_rate(0.25) + 1e-6)
-        with pytest.raises(DomainError):
-            rate_point(0.0)
 
 
 class TestArrayVersions:

@@ -16,7 +16,6 @@ from entroset.report import (
     PreconditionError,
     ScanConfig,
     make_report,
-    merge_reports,
     report_csv_header,
     report_csv_row,
     report_from_json,
@@ -43,7 +42,9 @@ from entroset.scans import (
     reduction_consistency_scan,
     reevaluate_witness,
     run_named_scan,
+    _worst_rows,
     scan_rate_convexity,
+    subset_entropy_scan,
     tail_rate,
     threshold_exploration,
     union_bound_margin,
@@ -271,32 +272,6 @@ class TestScanReports:
         r2 = make_report("demo", 10, -1e-5, (0.5,), 1e-6)
         assert not r2.passed
 
-    def test_merge_reports_partition(self):
-        from dataclasses import replace
-
-        base = CHECKS["sq-ratio"].cfg
-        left = run_named_scan(
-            "sq-ratio", replace(base, grid_step=1e-3, range_lo=0.01, range_hi=0.5)
-        )
-        right = run_named_scan(
-            "sq-ratio", replace(base, grid_step=1e-3, range_lo=0.5, range_hi=0.99)
-        )
-        merged = merge_reports(left, right)
-        assert merged.points_checked == left.points_checked + right.points_checked
-        assert merged.min_margin == min(left.min_margin, right.min_margin)
-        worse = left if left.min_margin <= right.min_margin else right
-        assert merged.argmin_witness == worse.argmin_witness
-        assert merge_reports(right, left).min_margin == merged.min_margin
-
-    def test_merge_reports_rejects_mismatches(self):
-        a = make_report("a", 1, 0.0, (), 1e-6)
-        b = make_report("b", 1, 0.0, (), 1e-6)
-        c = make_report("a", 1, 0.0, (), 1e-7)
-        with pytest.raises(ValueError):
-            merge_reports(a, b)
-        with pytest.raises(ValueError):
-            merge_reports(a, c)
-
     def test_json_round_trip(self):
         r = run_named_scan("tail-rate", small_cfg("tail-rate"))
         doc = report_to_json(r)
@@ -316,8 +291,8 @@ class TestScanEngines:
     def test_named_scans_pass_and_witnesses_replay(self, name):
         report = run_named_scan(name, small_cfg(name))
         assert report.passed
-        replayed = reevaluate_witness(report)
-        assert replayed == pytest.approx(report.min_margin, abs=1e-12)
+        # the reported margin is the replay's own output, bit for bit
+        assert reevaluate_witness(report) == report.min_margin
 
     @pytest.mark.parametrize("name", ["sq-ratio", "union-bound", "threshold"])
     def test_deterministic_for_fixed_seed(self, name):
@@ -393,6 +368,42 @@ class TestScanEngines:
         r = golden_anchor_check()
         assert r.passed
         assert reevaluate_witness(r) == pytest.approx(r.min_margin, abs=1e-15)
+
+    def test_golden_anchor_replay_recomputes_the_identity(self):
+        from dataclasses import replace
+
+        r = golden_anchor_check()
+        tag = r.argmin_witness[0]
+        forged = replace(r, min_margin=-1.0, details={**r.details, tag: -1.0})
+        assert reevaluate_witness(forged) == r.min_margin
+
+    def test_subset_entropy_witness_is_not_a_point_mass(self):
+        r = subset_entropy_scan(
+            ScanConfig(random_samples=2000, seed=42, tolerance=1e-9), ground_n=4
+        )
+        level, probs, masks = r.argmin_witness
+        assert len(probs) == len(masks) >= 2
+        assert r.min_margin > 0.0
+        assert reevaluate_witness(r) == r.min_margin
+
+    def test_worst_rows_keeps_the_first_minimum(self):
+        # three batches: the second ties the first's minimum, the third
+        # beats it; within a batch the first of two equal rows wins
+        batches = iter([
+            (np.array([True, True, False]), np.array([5.0, 2.0, 0.0])),
+            (np.array([True, False]), np.array([2.0, -9.0])),
+            (np.array([False, True, True, True]), np.array([-9.0, 1.0, 1.0, 7.0])),
+        ])
+        rows = iter(range(100))
+
+        def draw():
+            keep, vals = next(batches)
+            tags = np.array([next(rows) for _ in vals])
+            return keep, vals, tags
+
+        best, row, checked, drawn = _worst_rows(6, draw, lambda vals, tags: vals)
+        assert (best, row[1]) == (1.0, 6)
+        assert (checked, drawn) == (6, 9)
 
     def test_random_scans_respect_mean_level_preconditions(self):
         # every witness stored by the randomized expectation scans must

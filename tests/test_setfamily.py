@@ -20,7 +20,6 @@ from entroset.setfamily import (
     family_census,
     family_code,
     family_meets_bound,
-    family_sweep_scan,
     family_text,
     frequency_bound_margin,
     frequency_profile,
@@ -29,12 +28,11 @@ from entroset.setfamily import (
     mask_from_indices,
     random_family,
     random_subset_distribution,
-    subset_entropy_scan,
-    uniform_bridge_scan,
     union_closure,
     union_distribution,
     union_entropy_margin,
 )
+from entroset.scans import family_sweep_scan, subset_entropy_scan, uniform_bridge_scan
 
 mpmath.mp.dps = 50
 
@@ -235,15 +233,6 @@ class TestEnumeration:
         f = SetFamily(2, [1, 3])
         assert family_code(f) == (1 << 1) | (1 << 3)
 
-    def test_start_stop_partition(self):
-        full = list(enumerate_union_closed(3))
-        split = 1 << 7
-        first = list(enumerate_union_closed(3, stop=split))
-        second = list(enumerate_union_closed(3, start=split))
-        assert [f.members for f in first] + [f.members for f in second] == [
-            f.members for f in full
-        ]
-
     def test_census_rows_and_partition_merge(self):
         rows = family_census(3)
         assert len(rows) == 120  # degenerate {{}} excluded
@@ -251,9 +240,6 @@ class TestEnumeration:
         assert all(r["meets_bound"] for r in rows)
         worst = min(r["margin"] for r in rows)
         assert worst == pytest.approx(0.5 - FREQUENCY_BOUND, abs=1e-15)
-        split = 1 << 7
-        parts = family_census(3, stop=split) + family_census(3, start=split)
-        assert parts == rows
 
     def test_enumeration_cap(self):
         with pytest.raises(SetFamilyError):
