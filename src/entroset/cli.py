@@ -85,7 +85,8 @@ def _write_report_json(args, subcommand: str, stem: str, doc: dict) -> Path:
 
 
 def _write_manifest(
-    args, subcommand: str, stem: str, started: float, report_path: Path
+    args, subcommand: str, stem: str, started: float, report_path: Path,
+    checks: list[dict] | None = None,
 ) -> None:
     params = {
         k: v for k, v in sorted(vars(args).items())
@@ -99,6 +100,8 @@ def _write_manifest(
         "finished": _utc(time.time()),
         "report_path": str(report_path),
     }
+    if checks is not None:
+        manifest["checks"] = checks
     path = _report_dir(args, subcommand) / f"{stem}-{args.seed}.manifest.json"
     _write_atomic(path, _json_text(manifest))
 
@@ -129,15 +132,29 @@ def _verify_cfg(args, check: _scans.Check) -> ScanConfig | None:
     return replace(check.cfg, **kw)
 
 
+def _check_timing(r: ScanReport, elapsed: float) -> dict:
+    """One manifest entry: where a check's time went and how far its vector
+    route was from the scalar certifier (None for a check with one route)."""
+    return {
+        "name": r.name,
+        "elapsed_s": elapsed,
+        "points_per_s": r.points_checked / elapsed if elapsed > 0.0 else None,
+        "route_gap": (r.details or {}).get("route_gap"),
+    }
+
+
 def cmd_verify_all(args) -> int:
     started = time.time()
     reports = []
+    timings = []
     for check in _scans.CHECKS.values():
         if args.only not in (None, check.group):
             continue
+        t0 = time.perf_counter()
         r = _scans.run_named_scan(
             check.name, _verify_cfg(args, check), alpha=args.alpha, tol=args.tol
         )
+        timings.append(_check_timing(r, time.perf_counter() - t0))
         reports.append(r)
         _print_report_line(r)
         _write_report_json(args, "verify-all", r.name, report_to_json(r))
@@ -148,7 +165,8 @@ def cmd_verify_all(args) -> int:
         _write_atomic(
             _report_dir(args, "verify-all") / f"all-{args.seed}.csv", _csv_text(rows)
         )
-    _write_manifest(args, "verify-all", "all", started, _report_dir(args, "verify-all"))
+    _write_manifest(args, "verify-all", "all", started, _report_dir(args, "verify-all"),
+                    checks=timings)
     return 0 if passed == len(reports) else 1
 
 

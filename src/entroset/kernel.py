@@ -4,8 +4,8 @@ Scalar primitives for the entropy of a biased coin and for the rate map
 ``H(x)/x`` that drives everything else in this package: the rate, its
 closed-form derivative, and the numerical inverse of the rate.  Array
 versions of the hot primitives are provided for the bulk scan engines;
-they use the same formulas and are cross-checked against the scalar path
-in the test suite.
+they use the same formulas, apart from the array inverse's table guess,
+and are cross-checked against the scalar path in the test suite.
 
 Conventions
 -----------
@@ -261,11 +261,36 @@ def entropy_rate_arr(x: np.ndarray) -> np.ndarray:
     return binary_entropy_arr(x) / x
 
 
+def _rate_table() -> tuple[np.ndarray, np.ndarray]:
+    # (log y, logit x) at knots spread evenly in logit x over
+    # [1/(1 + e^36), 1 - 2^-52], ordered by increasing log y.  Near 1 the
+    # even logits round to repeated doubles; dropping the repeats keeps the
+    # log y column strictly increasing.  (Not np.unique: its first call
+    # imports numpy.ma, which would add to every start-up.)
+    xk = 1.0 / (1.0 + np.exp(-np.linspace(-36.0, 36.0, 4096)))
+    xk = xk[(np.diff(xk, prepend=0.0) > 0.0) & (xk < 1.0)]
+    log_y = np.log(entropy_rate_arr(xk))[::-1].copy()
+    logit_x = (np.log(xk) - np.log1p(-xk))[::-1].copy()
+    log_y.setflags(write=False)
+    logit_x.setflags(write=False)
+    return log_y, logit_x
+
+
+_TABLE_LOG_Y, _TABLE_LOGIT_X = _rate_table()
+
+
 def inverse_entropy_rate_arr(y: np.ndarray) -> np.ndarray:
     """Elementwise inverse of the rate map for y >= 0.
 
-    Vectorized bisection (60 halvings) followed by guarded Newton polish;
-    meets the same residual contract as the scalar version.
+    The first guess interpolates logit(x) against log y on a fixed table
+    of the rate (4096 knots built once at import), or takes the tail form
+    x = 2^-(y - log2 e) above the table; it is good to about 1e-5
+    relative.  Two Newton steps on the closed-form derivative, each kept
+    only if it stays in (0, 1], bring it to the double-precision root.
+    The result meets the scalar version's residual contract
+    ``|entropy_rate(x) - y| <= KERNEL_TOL * max(1, y)`` elementwise, and
+    targets whose root is too deep in the subnormal range to meet it
+    (from about y = 1050 up) raise DomainError, as in the scalar version.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 0:
@@ -278,32 +303,35 @@ def inverse_entropy_rate_arr(y: np.ndarray) -> np.ndarray:
     solve = flat > _RATE_AT_ONE_ULP
     ys = flat[solve]
     if ys.size:
-        lo = np.where(ys <= 49.0, 1e-15, 2.0 ** (-(ys + 3.0)))
-        if np.any(lo == 0.0):
+        log_y = np.log(ys)
+        xs = 1.0 / (1.0 + np.exp(-np.interp(log_y, _TABLE_LOG_Y, _TABLE_LOGIT_X)))
+        # Above the table the root is below 1/(1 + e^36), where
+        # rate(x) = log2(1/x) + log2(e) - O(x) makes x = 2^-(y - log2 e)
+        # good to the last few bits.
+        tail = log_y > _TABLE_LOG_Y[-1]
+        xs[tail] = np.exp2(LOG2E - ys[tail])
+        if np.any(xs == 0.0):
             raise DomainError("y exceeds the representable rate range")
-        hi = np.ones_like(ys)
-        for _ in range(25):
-            mid = 2.0 ** (0.5 * (np.log2(lo) + np.log2(hi)))
-            mid = np.clip(mid, lo, hi)
-            too_high = entropy_rate_arr(np.maximum(mid, 5e-324)) > ys
-            lo = np.where(too_high, mid, lo)
-            hi = np.where(too_high, hi, mid)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            too_high = entropy_rate_arr(mid) > ys
-            lo = np.where(too_high, mid, lo)
-            hi = np.where(too_high, hi, mid)
-        xs = 0.5 * (lo + hi)
-        for _ in range(4):
+        for _ in range(2):
             fx = entropy_rate_arr(xs) - ys
-            with np.errstate(divide="ignore"):
+            # divided by x twice, not by x*x, which underflows below 1e-154;
+            # at subnormal x the derivative overflows and the step is zero
+            with np.errstate(divide="ignore", over="ignore"):
                 d = np.where(
                     xs >= 0.5,
                     np.log2(np.maximum(1.0 - xs, 5e-324)),
                     np.log1p(-np.minimum(xs, 0.5)) * LOG2E,
-                ) / (xs * xs)
-            xn = xs - fx / d
-            ok = (xn > lo) & (xn < hi)
-            xs = np.where(ok, xn, xs)
+                ) / xs / xs
+                xn = xs - fx / d
+            xs = np.where((xn > 0.0) & (xn <= 1.0), xn, xs)
+        tiny = xs < 1e-290
+        if np.any(tiny):
+            # Subnormal roots cannot carry enough precision to meet the
+            # contract.  At a subnormal x the float rate is itself off by up
+            # to about 1e-323 / x, since H(x) is rounded to a multiple of
+            # 2^-1074, so that is added to the residual before judging it.
+            xt, yt = xs[tiny], ys[tiny]
+            if np.any(np.abs(entropy_rate_arr(xt) - yt) + 1e-323 / xt > KERNEL_TOL * yt):
+                raise DomainError("y exceeds the representable rate range")
         x[solve] = xs
     return x.reshape(y.shape)

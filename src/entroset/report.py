@@ -1,8 +1,9 @@
 """Scan configuration and result types shared by every checker.
 
 A scan walks a grid or a seeded random sample, records the worst margin it
-saw and where, and passes iff that margin clears ``-tolerance``.  Reports
-are plain data: they serialize to JSON documents and CSV rows.
+saw and where, and passes iff it checked at least one point and that
+margin clears ``-tolerance``.  Reports are plain data: they serialize to
+JSON documents and CSV rows.
 """
 
 from __future__ import annotations
@@ -84,13 +85,17 @@ def make_report(
     config: dict | None = None,
     details: dict | None = None,
 ) -> ScanReport:
-    """Build a report with the pass verdict derived from margin vs tolerance."""
+    """Build a report with the pass verdict derived from margin vs tolerance.
+
+    A scan that checked no point fails whatever its margin: its ``inf``
+    minimum says nothing about the inequality.
+    """
     return ScanReport(
         name=name,
         points_checked=int(points_checked),
         min_margin=float(min_margin),
         argmin_witness=tuple(argmin_witness),
-        passed=bool(min_margin >= -tolerance),
+        passed=bool(points_checked > 0 and min_margin >= -tolerance),
         tolerance=float(tolerance),
         config=dict(config or {}),
         details=details,
@@ -98,20 +103,23 @@ def make_report(
 
 
 def _jsonable(value: Any) -> Any:
+    # A non-finite float, such as the inf minimum of a scan that checked no
+    # point, becomes null: standard JSON has no token for it.
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (bool, int, str)) or value is None:
         return value
-    return float(value)
+    v = float(value)
+    return v if math.isfinite(v) else None
 
 
 def report_to_json(report: ScanReport) -> dict:
     doc = {
         "name": report.name,
         "points_checked": report.points_checked,
-        "min_margin": report.min_margin,
+        "min_margin": _jsonable(report.min_margin),
         "witness": _jsonable(report.argmin_witness),
         "passed": report.passed,
         "tolerance": report.tolerance,
@@ -129,7 +137,7 @@ def report_from_json(doc: dict) -> ScanReport:
     return ScanReport(
         name=doc["name"],
         points_checked=int(doc["points_checked"]),
-        min_margin=float(doc["min_margin"]),
+        min_margin=math.inf if doc["min_margin"] is None else float(doc["min_margin"]),
         argmin_witness=_tupled(doc["witness"]),
         passed=bool(doc["passed"]),
         tolerance=float(doc["tolerance"]),

@@ -59,6 +59,21 @@ class TestVerifyAll:
         assert lines[0].startswith("name,")
         assert len(lines) == 3
 
+    def test_manifest_times_every_check(self, tmp_path):
+        out = tmp_path / "r"
+        assert main(["verify-all", "--only", "kernel", "--out", str(out)]) == 0
+        d = out / "verify-all"
+        checks = json.loads((d / "all-42.manifest.json").read_text())["checks"]
+        assert [c["name"] for c in checks] == ["kernel-roundtrip", "golden-anchor"]
+        for c in checks:
+            report = json.loads((d / f"{c['name']}-42.json").read_text())
+            assert c["elapsed_s"] > 0.0
+            assert c["points_per_s"] == pytest.approx(
+                report["points_checked"] / c["elapsed_s"])
+            assert c["route_gap"] == report.get("details", {}).get("route_gap")
+        assert checks[0]["route_gap"] is not None
+        assert checks[1]["route_gap"] is None
+
     def test_report_json_is_loadable(self, tmp_path):
         out = tmp_path / "r"
         main(["verify-all", "--only", "kernel", "--out", str(out)])
@@ -76,6 +91,20 @@ class TestScan:
         assert doc["passed"] is True
         assert doc["min_margin"] > 0.0
         assert (out / "scan" / "sq-ratio-42.manifest.json").exists()
+
+    def test_scan_that_checks_nothing_fails(self, tmp_path):
+        # five draws per pair keep no candidate
+        out = tmp_path / "r"
+        rc = main(["scan", "optimum-search", "--samples", "5", "--out", str(out)])
+        assert rc == 1
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        text = (out / "scan" / "optimum-search-42.json").read_text()
+        doc = json.loads(text, parse_constant=reject)
+        assert doc["points_checked"] == 0
+        assert doc["passed"] is False
 
     def test_unknown_scan_name(self, tmp_path):
         assert main(["scan", "bogus", "--out", str(tmp_path)]) == 2

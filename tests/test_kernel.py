@@ -1,8 +1,9 @@
 """Tests for the binary entropy kernel.
 
-The inverse-rate oracle used here is an independent pure-bisection solver
-written against ``math`` only, so a regression in the package's hybrid
-solver cannot hide behind itself.
+The scalar inverse-rate oracle used here is an independent pure-bisection
+solver written against ``math`` only, so a regression in the package's
+hybrid solver cannot hide behind itself.  The array inverse is checked
+against the vectorized bisection it replaced, kept here as its oracle.
 """
 
 import math
@@ -13,12 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entroset import kernel
 from entroset.kernel import (
     DERIV_TOL,
     DomainError,
     FREQUENCY_BOUND,
     GOLDEN_THRESHOLD,
     KERNEL_TOL,
+    LOG2E,
     as_prob,
     binary_entropy,
     binary_entropy_arr,
@@ -47,6 +50,12 @@ def mp_entropy(x) -> float:
     return float(v)
 
 
+def mp_rate(x: float):
+    """High-precision H(x)/x in bits at the double ``x``, as an mpf."""
+    xm = mpmath.mpf(x)
+    return -(xm * mpmath.log(xm, 2) + (1 - xm) * mpmath.log1p(-xm) / mpmath.log(2)) / xm
+
+
 def bisect_inverse_rate(y: float, iters: int = 200) -> float:
     """Plain bisection for entropy_rate(x) = y, no Newton, no shortcuts."""
     def rate(x: float) -> float:
@@ -64,6 +73,42 @@ def bisect_inverse_rate(y: float, iters: int = 200) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def bisect_inverse_rate_arr(y: np.ndarray) -> np.ndarray:
+    """Vectorized bisection for entropy_rate(x) = y: 25 geometric and 60
+    arithmetic halvings, then four bracketed Newton steps."""
+    flat = np.asarray(y, dtype=float).ravel()
+    x = np.ones(flat.shape, dtype=float)
+    solve = flat > kernel._RATE_AT_ONE_ULP
+    ys = flat[solve]
+    lo = np.where(ys <= 49.0, 1e-15, 2.0 ** (-(ys + 3.0)))
+    hi = np.ones_like(ys)
+    for _ in range(25):
+        mid = 2.0 ** (0.5 * (np.log2(lo) + np.log2(hi)))
+        mid = np.clip(mid, lo, hi)
+        too_high = entropy_rate_arr(np.maximum(mid, 5e-324)) > ys
+        lo = np.where(too_high, mid, lo)
+        hi = np.where(too_high, hi, mid)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        too_high = entropy_rate_arr(mid) > ys
+        lo = np.where(too_high, mid, lo)
+        hi = np.where(too_high, hi, mid)
+    xs = 0.5 * (lo + hi)
+    for _ in range(4):
+        fx = entropy_rate_arr(xs) - ys
+        with np.errstate(divide="ignore"):
+            d = np.where(
+                xs >= 0.5,
+                np.log2(np.maximum(1.0 - xs, 5e-324)),
+                np.log1p(-np.minimum(xs, 0.5)) * LOG2E,
+            ) / (xs * xs)
+        xn = xs - fx / d
+        ok = (xn > lo) & (xn < hi)
+        xs = np.where(ok, xn, xs)
+    x[solve] = xs
+    return x.reshape(np.shape(y))
 
 
 class TestBinaryEntropy:
@@ -251,6 +296,71 @@ class TestArrayVersions:
             inverse_entropy_rate_arr(np.array([1.0, -0.5]))
         with pytest.raises(DomainError):
             inverse_entropy_rate_arr(np.array([math.nan]))
+
+    @pytest.mark.parametrize("y", [1070.0, 1080.0])
+    def test_inverse_rejects_subnormal_roots_like_the_scalar(self, y):
+        # At 1070 the root is about 2.2e-322, a subnormal with five bits,
+        # whose residual is near 0.023 against a bound of 1.07e-7; at 1080
+        # the first guess underflows to zero.
+        with pytest.raises(DomainError):
+            inverse_entropy_rate(y)
+        with pytest.raises(DomainError):
+            inverse_entropy_rate_arr(np.array([2.0, y]))
+
+    def test_inverse_meets_the_contract_exactly_or_raises_at_subnormal_roots(self):
+        # The float rate at a subnormal x can read y exactly while the
+        # exact rate misses it by 1.6e-6 (at y = 1057.8, for one).
+        kept = 0
+        for y in np.linspace(1040.0, 1077.0, 371):
+            try:
+                (x,) = inverse_entropy_rate_arr(np.array([y]))
+            except DomainError:
+                continue
+            kept += 1
+            assert abs(mp_rate(x) - y) <= KERNEL_TOL * y
+        assert kept > 50
+
+    def test_inverse_agrees_with_bisection_oracle(self):
+        # From about y = 1050 on the roots are subnormals too coarse for
+        # the residual contract and both routes raise, so the grid stops
+        # short of that.
+        table_lo = math.exp(kernel._TABLE_LOG_Y[0])
+        table_hi = math.exp(kernel._TABLE_LOG_Y[-1])
+        ys = np.sort(np.concatenate([
+            [0.0],
+            np.geomspace(1e-14, 1e-6, 20_000),
+            np.linspace(0.0, 20.0, 60_001),
+            np.linspace(20.0, 1045.0, 20_001),
+            np.geomspace(kernel._RATE_AT_ONE_ULP, 1.5 * table_lo, 2_001),
+            np.linspace(0.99 * table_hi, 1.01 * table_hi, 2_001),
+        ]))
+        assert ys.size >= 100_000
+        xs = inverse_entropy_rate_arr(ys)
+        oracle = bisect_inverse_rate_arr(ys)
+        # The root moves by about ln 2 * x per unit of y in the tail, so one
+        # rounding of y there moves x by eps * y relative.
+        normal = oracle >= np.finfo(float).tiny
+        rel = np.abs(xs - oracle)[normal] / oracle[normal]
+        assert np.all(rel <= 4.0 * np.finfo(float).eps * np.maximum(1.0, ys[normal]))
+        pos = ys > 0.0
+        resid = np.abs(entropy_rate_arr(xs[pos]) - ys[pos])
+        assert np.all(resid <= KERNEL_TOL * np.maximum(1.0, ys[pos]))
+        assert np.all(xs[~pos] == 1.0)
+        assert np.all(np.diff(xs) <= 0.0)
+
+    def test_inverse_makes_few_rate_passes(self, monkeypatch):
+        passes = 0
+        forward = kernel.entropy_rate_arr
+
+        def counting(arr):
+            nonlocal passes
+            passes += 1
+            return forward(arr)
+
+        monkeypatch.setattr(kernel, "entropy_rate_arr", counting)
+        ys = np.random.default_rng(20221124).uniform(0.0, 12.0, 1000)
+        kernel.inverse_entropy_rate_arr(ys)
+        assert 0 < passes <= 4
 
 
 class TestAsProb:

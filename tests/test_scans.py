@@ -1,5 +1,6 @@
 """Tests for the scan engines, curve families, and expectation inequalities."""
 
+import json
 import math
 
 import numpy as np
@@ -271,6 +272,15 @@ class TestScanReports:
         assert r.passed
         r2 = make_report("demo", 10, -1e-5, (0.5,), 1e-6)
         assert not r2.passed
+        # a scan that checked nothing fails, whatever its margin
+        assert not make_report("demo", 0, math.inf, (), 1e-6).passed
+
+    def test_empty_report_writes_standard_json(self):
+        r = bridge_gap_scan(samples=0)
+        assert not r.passed
+        text = json.dumps(report_to_json(r), allow_nan=False)
+        assert json.loads(text)["min_margin"] is None
+        assert report_from_json(json.loads(text)).min_margin == math.inf
 
     def test_json_round_trip(self):
         r = run_named_scan("tail-rate", small_cfg("tail-rate"))
