@@ -77,11 +77,9 @@ from .setfamily import (
     SubsetDistribution,
     enumerate_union_closed,
     family_census,
-    family_meets_bound,
     frequency_bound_margin,
     frequency_profile,
     load_family,
-    dump_family,
     union_closure,
     union_distribution,
     union_entropy_margin,
@@ -141,11 +139,9 @@ __all__ = [
     "SubsetDistribution",
     "enumerate_union_closed",
     "family_census",
-    "family_meets_bound",
     "frequency_bound_margin",
     "frequency_profile",
     "load_family",
-    "dump_family",
     "union_closure",
     "union_distribution",
     "union_entropy_margin",

@@ -241,7 +241,9 @@ def cmd_scan(args) -> int:
             lo, hi, step = args.beta
             kw.update(range_lo=lo, range_hi=hi, grid_step=step)
         cfg = replace(cfg, **kw)
+    t0 = time.perf_counter()
     report = _scans.run_named_scan(name, cfg, alpha=args.alpha, tol=args.tol)
+    timing = _check_timing(report, time.perf_counter() - t0)
     _print_report_line(report)
     report_path = _write_report_json(args, "scan", name, report_to_json(report))
     if name == "threshold":
@@ -261,7 +263,7 @@ def cmd_scan(args) -> int:
         _write_atomic(
             _report_dir(args, "scan") / f"{name}-{args.seed}.csv", _csv_text(rows)
         )
-    _write_manifest(args, "scan", name, started, report_path)
+    _write_manifest(args, "scan", name, started, report_path, checks=[timing])
     return 0 if report.passed else 1
 
 
@@ -397,6 +399,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="report format; JSON is always written")
 
 
+def _sample_budgets() -> str:
+    """The registry's sample budgets, largest first, e.g. '1,000 reduction'."""
+    names: dict[int, list[str]] = {}
+    for c in _scans.CHECKS.values():
+        if c.cfg is not None and c.cfg.random_samples:
+            names.setdefault(c.cfg.random_samples, []).append(c.name)
+    return ", ".join(
+        f"{n:,} {' and '.join(ns)}" for n, ns in sorted(names.items(), reverse=True)
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entroset",
@@ -412,10 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="restrict to one check group")
     va.add_argument("--samples", type=int, default=None,
                     help="override the sample budget of every sampled check "
-                         "(default: 1e6 union-bound and product-bound, "
-                         "2e5 optimum-search, 1e5 merge-properties and "
-                         "subset-entropy, 1e4 bridge-gap and threshold, "
-                         "1e3 reduction)")
+                         f"(default: {_sample_budgets()})")
     va.add_argument("--step", type=float, default=None,
                     help="override grid step for the four curve scans")
     va.add_argument("--tol", type=float, default=None,

@@ -4,8 +4,9 @@ Scalar primitives for the entropy of a biased coin and for the rate map
 ``H(x)/x`` that drives everything else in this package: the rate, its
 closed-form derivative, and the numerical inverse of the rate.  Array
 versions of the hot primitives are provided for the bulk scan engines;
-they use the same formulas, apart from the array inverse's table guess,
-and are cross-checked against the scalar path in the test suite.
+they use the same formulas and are cross-checked against the scalar path
+in the test suite.  The inverse is one algorithm in both forms: a guess
+from a table of the rate built once at import, then two Newton steps.
 
 Conventions
 -----------
@@ -20,6 +21,7 @@ Conventions
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -123,9 +125,7 @@ def entropy_rate(x: float) -> float:
     v = as_prob(x, "x")
     if v == 0.0:
         raise DomainError("entropy_rate is undefined at x = 0")
-    if v == 1.0:
-        return 0.0
-    return _h(v) / v
+    return _rate(v)
 
 
 def entropy_rate_deriv(x: float) -> float:
@@ -136,9 +136,7 @@ def entropy_rate_deriv(x: float) -> float:
     v = as_prob(x, "x")
     if v == 0.0 or v == 1.0:
         raise DomainError("entropy_rate_deriv is defined on the open interval (0, 1)")
-    if v >= 0.5:
-        return math.log2(1.0 - v) / (v * v)
-    return math.log1p(-v) * LOG2E / (v * v)
+    return _rate_deriv(v)
 
 
 def _rate(x: float) -> float:
@@ -149,80 +147,17 @@ def _rate(x: float) -> float:
 
 
 def _rate_deriv(x: float) -> float:
+    # Divided by x twice, not by x*x, which underflows below 1e-154; at a
+    # subnormal x it overflows to -inf and a Newton step on it is zero.
+    # The floor on 1 - x keeps it finite at x = 1, where a kept step may land.
     if x >= 0.5:
-        return math.log2(1.0 - x) / (x * x)
-    return math.log1p(-x) * LOG2E / (x * x)
+        return math.log2(max(1.0 - x, 5e-324)) / x / x
+    return math.log1p(-x) * LOG2E / x / x
 
 
 # rate(1 - 2^-52): targets below this are indistinguishable from the root
 # x = 1 at double precision.
 _RATE_AT_ONE_ULP = _rate(1.0 - 2.0 ** -52)
-
-
-def inverse_entropy_rate(y: float) -> float:
-    """The unique x in (0, 1] with entropy_rate(x) = y, for y >= 0.
-
-    Bracketed bisection with Newton steps accepted only while they stay
-    inside the bracket.  The result satisfies
-    ``|entropy_rate(x) - y| <= KERNEL_TOL * max(1, y)``.
-    """
-    try:
-        yv = float(y)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"y must be a real number, got {y!r}") from exc
-    if not math.isfinite(yv) or yv < 0.0:
-        raise DomainError(f"y must be finite and nonnegative, got {y!r}")
-    if yv == 0.0:
-        return 1.0
-    if yv <= _RATE_AT_ONE_ULP:
-        # The root is within one double-precision step of 1; the residual
-        # bound holds at x = 1 itself.
-        return 1.0
-
-    lo = 1e-15
-    hi = 1.0
-    if _rate(lo) < yv:
-        # rate(x) > log2(1/x), so this lower end is guaranteed to bracket.
-        lo = 2.0 ** (-(yv + 3.0))
-        if lo == 0.0:
-            raise DomainError(f"y = {yv} exceeds the representable rate range")
-
-    # Geometric bisection first: the rate behaves like log2(1/x) near 0, so
-    # halving the exponent gap converges where arithmetic midpoints crawl.
-    while hi > 2.0 * lo:
-        mid = 2.0 ** (0.5 * (math.log2(lo) + math.log2(hi)))
-        if not (lo < mid < hi):
-            break
-        if _rate(mid) > yv:
-            lo = mid
-        else:
-            hi = mid
-
-    target = 1e-13 * max(1.0, yv)
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        fx = _rate(x) - yv
-        if fx > 0.0:
-            lo = x
-        elif fx < 0.0:
-            hi = x
-        else:
-            break
-        if abs(fx) <= target:
-            break
-        if hi - lo <= 1e-15 * hi:
-            break
-        if x > 1e-150:
-            step = fx / _rate_deriv(x)
-            xn = x - step
-            if lo < xn < hi:
-                x = xn
-                continue
-        x = 0.5 * (lo + hi)
-    if x < 1e-290 and abs(_rate(x) - yv) > KERNEL_TOL * max(1.0, yv):
-        # Subnormal roots cannot carry enough precision to meet the contract.
-        raise DomainError(f"y = {yv} exceeds the representable rate range")
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +196,11 @@ def entropy_rate_arr(x: np.ndarray) -> np.ndarray:
     return binary_entropy_arr(x) / x
 
 
+# ---------------------------------------------------------------------------
+# The inverse of the rate: one algorithm in a scalar and an array form.
+# ---------------------------------------------------------------------------
+
+
 def _rate_table() -> tuple[np.ndarray, np.ndarray]:
     # (log y, logit x) at knots spread evenly in logit x over
     # [1/(1 + e^36), 1 - 2^-52], ordered by increasing log y.  Near 1 the
@@ -277,6 +217,53 @@ def _rate_table() -> tuple[np.ndarray, np.ndarray]:
 
 
 _TABLE_LOG_Y, _TABLE_LOGIT_X = _rate_table()
+# The same table as Python floats, for the scalar route's bisect lookup.
+_LOG_Y_LIST = _TABLE_LOG_Y.tolist()
+_LOGIT_X_LIST = _TABLE_LOGIT_X.tolist()
+
+
+def inverse_entropy_rate(y: float) -> float:
+    """The unique x in (0, 1] with entropy_rate(x) = y, for y >= 0.
+
+    The scalar form of :func:`inverse_entropy_rate_arr`, step for step and
+    in Python floats: the table guess (or the tail guess above the table),
+    then two Newton steps, each kept only while x stays in (0, 1].  The
+    result satisfies ``|entropy_rate(x) - y| <= KERNEL_TOL * max(1, y)``;
+    targets whose root is too deep in the subnormal range to meet it (from
+    about y = 1050 up) raise DomainError.
+    """
+    try:
+        yv = float(y)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"y must be a real number, got {y!r}") from exc
+    if not math.isfinite(yv) or yv < 0.0:
+        raise DomainError(f"y must be finite and nonnegative, got {y!r}")
+    if yv <= _RATE_AT_ONE_ULP:
+        # The root is within one double-precision step of 1; the residual
+        # bound holds at x = 1 itself.
+        return 1.0
+
+    log_y = math.log(yv)
+    if log_y > _LOG_Y_LIST[-1]:
+        x = 2.0 ** (LOG2E - yv)
+        if x == 0.0:
+            raise DomainError(f"y = {yv} exceeds the representable rate range")
+    else:
+        # np.interp's formula on the knot pair around log y
+        j = max(bisect.bisect_right(_LOG_Y_LIST, log_y) - 1, 0)
+        t = _LOGIT_X_LIST[j]
+        if j + 1 < len(_LOG_Y_LIST):
+            slope = (_LOGIT_X_LIST[j + 1] - t) / (_LOG_Y_LIST[j + 1] - _LOG_Y_LIST[j])
+            t += slope * (log_y - _LOG_Y_LIST[j])
+        x = 1.0 / (1.0 + math.exp(-t))
+    for _ in range(2):
+        xn = x - (_rate(x) - yv) / _rate_deriv(x)
+        if 0.0 < xn <= 1.0:
+            x = xn
+    if x < 1e-290 and abs(_rate(x) - yv) + 1e-323 / x > KERNEL_TOL * yv:
+        # See inverse_entropy_rate_arr for the 1e-323 / x term.
+        raise DomainError(f"y = {yv} exceeds the representable rate range")
+    return x
 
 
 def inverse_entropy_rate_arr(y: np.ndarray) -> np.ndarray:
@@ -287,10 +274,11 @@ def inverse_entropy_rate_arr(y: np.ndarray) -> np.ndarray:
     x = 2^-(y - log2 e) above the table; it is good to about 1e-5
     relative.  Two Newton steps on the closed-form derivative, each kept
     only if it stays in (0, 1], bring it to the double-precision root.
-    The result meets the scalar version's residual contract
+    The result meets the residual contract
     ``|entropy_rate(x) - y| <= KERNEL_TOL * max(1, y)`` elementwise, and
     targets whose root is too deep in the subnormal range to meet it
-    (from about y = 1050 up) raise DomainError, as in the scalar version.
+    (from about y = 1050 up) raise DomainError.  :func:`inverse_entropy_rate`
+    takes the same steps on one Python float.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim == 0:

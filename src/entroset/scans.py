@@ -705,15 +705,16 @@ def _product_margins_arr(w: np.ndarray, v: np.ndarray, beta: np.ndarray) -> np.n
 
 
 def _level_witness(row: tuple) -> tuple:
-    """``(level, weights, values)`` of a kept ``(w, v, level)`` row."""
+    """``(level, weights, values)`` of a kept ``(w, v, level)`` row, and
+    ``()`` for the empty row of a scan that kept none."""
+    if not row:
+        return ()
     w, v, level = row
     return (float(level), *_witness_atoms(w, v))
 
 
 def _level_scan(name: str, cfg: ScanConfig, draw, margins) -> ScanReport:
     """Report the worst of ``cfg.random_samples`` kept ``(w, v, level)`` rows."""
-    if cfg.random_samples <= 0:
-        raise ValueError("random_samples must be positive for this scan")
     best, row, checked, drawn = _worst_rows(cfg.random_samples, draw, margins)
     return _certified(
         name, checked, best, _level_witness(row), cfg.tolerance,
@@ -792,7 +793,7 @@ def bridge_gap_scan(
         samples, _draw_mean_above(rng, GOLDEN_THRESHOLD, 1.0), margins
     )
     return make_report(
-        "bridge-gap", checked, best, _level_witness(row) if row else (), 0.0,
+        "bridge-gap", checked, best, _level_witness(row), 0.0,
         config={"random_samples": samples, "seed": seed}, details={"bound": bound},
     )
 
@@ -907,17 +908,20 @@ def merge_property_scan(cfg: ScanConfig) -> ScanReport:
             - q * binary_entropy_arr(z * y)
         )
         np.minimum(worst, m, out=worst)
-    i = int(np.argmin(worst))
-    witness = (float(p1[i]), float(x1[i]), float(p2[i]), float(x2[i]))
+    vector_min, witness = math.inf, ()
+    if n > 0:
+        i = int(np.argmin(worst))
+        vector_min = float(worst[i])
+        witness = (float(p1[i]), float(x1[i]), float(p2[i]), float(x2[i]))
     details = {
-        "max_mean_residual": float(cons_mean.max()),
-        "max_entropy_residual": float(cons_ent.max()),
-        "max_weight_excess": float(weight_excess.max()),
+        "max_mean_residual": float(cons_mean.max(initial=0.0)),
+        "max_entropy_residual": float(cons_ent.max(initial=0.0)),
+        "max_weight_excess": float(weight_excess.max(initial=-math.inf)),
         "mean_residual_bound": MERGE_CONSERVATION_TOL,
         "weight_excess_bound": MERGE_WEIGHT_TOL,
     }
     report = _certified(
-        "merge-properties", n, float(worst[i]), witness, cfg.tolerance,
+        "merge-properties", n, vector_min, witness, cfg.tolerance,
         _config_dict(cfg), details,
     )
     ok = (
@@ -1151,13 +1155,16 @@ def subset_entropy_scan(cfg: ScanConfig, ground_n: int = 4) -> ScanReport:
         ratio = binary_entropy_arr(a * a) / binary_entropy_arr(a)
         return _shannon_rows(pun) - ratio * _shannon_rows(p)
 
-    best, (p, a), checked, drawn = _worst_rows(cfg.random_samples, draw, margins)
-    sel = p > 0.0
-    witness = (
-        float(a),
-        tuple(float(x) for x in p[sel]),
-        tuple(int(m) for m in masks[sel]),
-    )
+    best, row, checked, drawn = _worst_rows(cfg.random_samples, draw, margins)
+    witness: tuple = ()
+    if row:
+        p, a = row
+        sel = p > 0.0
+        witness = (
+            float(a),
+            tuple(float(x) for x in p[sel]),
+            tuple(int(m) for m in masks[sel]),
+        )
     return _certified(
         "subset-entropy", checked, best, witness, cfg.tolerance,
         {"random_samples": cfg.random_samples, "seed": cfg.seed},

@@ -32,8 +32,6 @@ from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from .kernel import FREQUENCY_BOUND, binary_entropy, as_prob
 from .report import PreconditionError
 
@@ -47,7 +45,6 @@ __all__ = [
     "union_closure",
     "frequency_profile",
     "counts_meet_bound",
-    "family_meets_bound",
     "frequency_bound_margin",
     "union_distribution",
     "union_entropy_margin",
@@ -56,10 +53,7 @@ __all__ = [
     "family_from_code",
     "family_census",
     "census_csv_rows",
-    "random_family",
-    "random_subset_distribution",
     "load_family",
-    "dump_family",
     "family_text",
     "MAX_GROUND",
     "MAX_ENUM_GROUND",
@@ -243,13 +237,6 @@ def _require_checkable(f: SetFamily) -> None:
 
 def _set_label(mask: int) -> str:
     return ",".join(str(i) for i in indices_from_mask(mask))
-
-
-def family_meets_bound(f: SetFamily) -> bool:
-    """Exact predicate: some element reaches the frequency bound."""
-    _require_checkable(f)
-    prof = frequency_profile(f)
-    return counts_meet_bound(max(prof.counts), prof.family_size)
 
 
 def frequency_bound_margin(f: SetFamily) -> float:
@@ -459,29 +446,6 @@ def census_csv_rows(rows: list[dict]) -> list[list[str]]:
     return out
 
 
-def random_family(rng: np.random.Generator, ground_n: int) -> SetFamily:
-    """Seeded sampler: k distinct masks, then the union closure."""
-    if not (1 <= ground_n <= MAX_GROUND):
-        raise SetFamilyError(f"ground_n must lie in [1, {MAX_GROUND}]")
-    n_masks = 1 << ground_n
-    k = int(rng.integers(1, n_masks + 1))
-    picks = rng.choice(n_masks, size=k, replace=False)
-    return union_closure((int(m) for m in picks), ground_n)
-
-
-def random_subset_distribution(
-    rng: np.random.Generator, ground_n: int, max_support: int | None = None
-) -> SubsetDistribution:
-    """Seeded sampler: a random support of masks with flat simplex weights."""
-    n_masks = 1 << ground_n
-    cap = n_masks if max_support is None else min(max_support, n_masks)
-    k = int(rng.integers(1, cap + 1))
-    picks = rng.choice(n_masks, size=k, replace=False)
-    w = rng.exponential(size=k)
-    w /= w.sum()
-    return SubsetDistribution(ground_n, zip(w.tolist(), (int(m) for m in picks)))
-
-
 # ----------------------------------------------------------------------
 # family file format
 # ----------------------------------------------------------------------
@@ -529,7 +493,3 @@ def load_family(path: str | Path) -> SetFamily:
     """Read a family file: ``n=<ground_n>`` then one set per line."""
     return _parse_family_text(Path(path).read_text(encoding="utf-8"))
 
-
-def dump_family(f: SetFamily, path: str | Path) -> None:
-    """Write a family file in canonical sorted order."""
-    Path(path).write_text(family_text(f), encoding="utf-8")

@@ -92,6 +92,18 @@ class TestScan:
         assert doc["min_margin"] > 0.0
         assert (out / "scan" / "sq-ratio-42.manifest.json").exists()
 
+    def test_manifest_times_the_check(self, tmp_path):
+        out = tmp_path / "r"
+        assert main(["scan", "rate-convexity", "--step", "1e-2", "--out", str(out)]) == 0
+        d = out / "scan"
+        (timing,) = json.loads((d / "rate-convexity-42.manifest.json").read_text())["checks"]
+        report = json.loads((d / "rate-convexity-42.json").read_text())
+        assert timing["name"] == "rate-convexity"
+        assert timing["elapsed_s"] > 0.0
+        assert timing["points_per_s"] == pytest.approx(
+            report["points_checked"] / timing["elapsed_s"])
+        assert timing["route_gap"] == report["details"]["route_gap"]
+
     def test_scan_that_checks_nothing_fails(self, tmp_path):
         # five draws per pair keep no candidate
         out = tmp_path / "r"
@@ -103,6 +115,15 @@ class TestScan:
 
         text = (out / "scan" / "optimum-search-42.json").read_text()
         doc = json.loads(text, parse_constant=reject)
+        assert doc["points_checked"] == 0
+        assert doc["passed"] is False
+
+    @pytest.mark.parametrize("name", ["merge-properties", "subset-entropy",
+                                      "union-bound", "product-bound"])
+    def test_zero_sample_budget_writes_a_failed_report(self, tmp_path, name):
+        out = tmp_path / "r"
+        assert main(["scan", name, "--samples", "0", "--out", str(out)]) == 1
+        doc = json.loads((out / "scan" / f"{name}-42.json").read_text())
         assert doc["points_checked"] == 0
         assert doc["passed"] is False
 

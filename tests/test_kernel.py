@@ -2,8 +2,9 @@
 
 The scalar inverse-rate oracle used here is an independent pure-bisection
 solver written against ``math`` only, so a regression in the package's
-hybrid solver cannot hide behind itself.  The array inverse is checked
-against the vectorized bisection it replaced, kept here as its oracle.
+table-and-Newton solver cannot hide behind itself.  Both routes of the
+inverse are also checked against the vectorized bisection that the array
+route replaced, kept here as their oracle.
 """
 
 import math
@@ -191,8 +192,7 @@ class TestEntropyRate:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_dominates_log_reciprocal_near_zero(self):
-        # rate(x) > log2(1/x); the inverse solver's lower bracket relies
-        # on this.
+        # rate(x) > log2(1/x), the leading term of the inverse's tail guess
         for x in (1e-15, 1e-9, 1e-3, 0.1):
             assert entropy_rate(x) > math.log2(1.0 / x)
 
@@ -256,6 +256,19 @@ class TestInverseRate:
         x = inverse_entropy_rate(y)
         assert abs(entropy_rate(x) - y) <= KERNEL_TOL * max(1.0, y)
 
+    def test_scalar_inverse_makes_few_rate_evaluations(self, monkeypatch):
+        calls = []
+        forward = kernel._rate
+        monkeypatch.setattr(kernel, "_rate", lambda x: calls.append(x) or forward(x))
+        # 1060 has a subnormal root, which takes the third evaluation.
+        for y in (1e-6, 0.7, 2.0, 12.0, 60.0, 1060.0):
+            calls.clear()
+            try:
+                kernel.inverse_entropy_rate(y)
+            except DomainError:
+                pass
+            assert 0 < len(calls) <= 3
+
 
 class TestArrayVersions:
     def test_entropy_matches_scalar(self):
@@ -307,13 +320,19 @@ class TestArrayVersions:
         with pytest.raises(DomainError):
             inverse_entropy_rate_arr(np.array([2.0, y]))
 
-    def test_inverse_meets_the_contract_exactly_or_raises_at_subnormal_roots(self):
+    @pytest.mark.parametrize("inverse", [
+        lambda y: inverse_entropy_rate_arr(np.array([y]))[0],
+        inverse_entropy_rate,
+    ], ids=["array", "scalar"])
+    def test_inverse_meets_the_contract_exactly_or_raises_at_subnormal_roots(
+        self, inverse
+    ):
         # The float rate at a subnormal x can read y exactly while the
         # exact rate misses it by 1.6e-6 (at y = 1057.8, for one).
         kept = 0
         for y in np.linspace(1040.0, 1077.0, 371):
             try:
-                (x,) = inverse_entropy_rate_arr(np.array([y]))
+                x = inverse(float(y))
             except DomainError:
                 continue
             kept += 1
@@ -335,18 +354,21 @@ class TestArrayVersions:
             np.linspace(0.99 * table_hi, 1.01 * table_hi, 2_001),
         ]))
         assert ys.size >= 100_000
-        xs = inverse_entropy_rate_arr(ys)
         oracle = bisect_inverse_rate_arr(ys)
         # The root moves by about ln 2 * x per unit of y in the tail, so one
         # rounding of y there moves x by eps * y relative.
         normal = oracle >= np.finfo(float).tiny
-        rel = np.abs(xs - oracle)[normal] / oracle[normal]
-        assert np.all(rel <= 4.0 * np.finfo(float).eps * np.maximum(1.0, ys[normal]))
         pos = ys > 0.0
-        resid = np.abs(entropy_rate_arr(xs[pos]) - ys[pos])
-        assert np.all(resid <= KERNEL_TOL * np.maximum(1.0, ys[pos]))
-        assert np.all(xs[~pos] == 1.0)
-        assert np.all(np.diff(xs) <= 0.0)
+        for xs in (
+            inverse_entropy_rate_arr(ys),
+            np.array([inverse_entropy_rate(y) for y in ys.tolist()]),
+        ):
+            rel = np.abs(xs - oracle)[normal] / oracle[normal]
+            assert np.all(rel <= 4.0 * np.finfo(float).eps * np.maximum(1.0, ys[normal]))
+            resid = np.abs(entropy_rate_arr(xs[pos]) - ys[pos])
+            assert np.all(resid <= KERNEL_TOL * np.maximum(1.0, ys[pos]))
+            assert np.all(xs[~pos] == 1.0)
+            assert np.all(np.diff(xs) <= 0.0)
 
     def test_inverse_makes_few_rate_passes(self, monkeypatch):
         passes = 0

@@ -15,19 +15,15 @@ from entroset.setfamily import (
     SetFamilyError,
     SubsetDistribution,
     counts_meet_bound,
-    dump_family,
     enumerate_union_closed,
     family_census,
     family_code,
-    family_meets_bound,
     family_text,
     frequency_bound_margin,
     frequency_profile,
     indices_from_mask,
     load_family,
     mask_from_indices,
-    random_family,
-    random_subset_distribution,
     union_closure,
     union_distribution,
     union_entropy_margin,
@@ -35,6 +31,24 @@ from entroset.setfamily import (
 from entroset.scans import family_sweep_scan, subset_entropy_scan, uniform_bridge_scan
 
 mpmath.mp.dps = 50
+
+
+def random_family(rng: np.random.Generator, ground_n: int) -> SetFamily:
+    """Seeded sampler: k distinct masks, then the union closure."""
+    n_masks = 1 << ground_n
+    k = int(rng.integers(1, n_masks + 1))
+    picks = rng.choice(n_masks, size=k, replace=False)
+    return union_closure((int(m) for m in picks), ground_n)
+
+
+def random_subset_distribution(rng: np.random.Generator, ground_n: int) -> SubsetDistribution:
+    """Seeded sampler: a random support of masks with flat simplex weights."""
+    n_masks = 1 << ground_n
+    k = int(rng.integers(1, n_masks + 1))
+    picks = rng.choice(n_masks, size=k, replace=False)
+    w = rng.exponential(size=k)
+    w /= w.sum()
+    return SubsetDistribution(ground_n, zip(w.tolist(), (int(m) for m in picks)))
 
 
 def brute_force_union_closed(ground_n: int) -> list[tuple[int, ...]]:
@@ -134,7 +148,8 @@ class TestFrequencyChecks:
 
     def test_margin_and_bound_on_canonical_families(self):
         f = SetFamily(1, [0, 1])  # {{}, {0}}: frequency 1/2
-        assert family_meets_bound(f)
+        prof = frequency_profile(f)
+        assert counts_meet_bound(max(prof.counts), prof.family_size)
         assert frequency_bound_margin(f) == pytest.approx(
             0.5 - FREQUENCY_BOUND, abs=1e-15
         )
@@ -143,7 +158,7 @@ class TestFrequencyChecks:
         with pytest.raises(PreconditionError):
             frequency_bound_margin(SetFamily(2, [0]))
         with pytest.raises(PreconditionError) as exc:
-            family_meets_bound(SetFamily(2, [1, 2]))
+            frequency_bound_margin(SetFamily(2, [1, 2]))
         assert "union" in str(exc.value)
 
 
@@ -250,7 +265,7 @@ class TestFamilyFiles:
     def test_round_trip(self, tmp_path):
         f = SetFamily(3, [0, 1, 3, 7])
         path = tmp_path / "f.fam"
-        dump_family(f, path)
+        path.write_text(family_text(f), encoding="utf-8")
         assert load_family(path).members == f.members
 
     def test_text_format(self):
