@@ -282,8 +282,8 @@ def _family_doc(f: _sf.SetFamily) -> dict:
 def cmd_family_check(args) -> int:
     started = time.time()
     fam = _sf.load_family(args.file)
-    margin = _sf.frequency_bound_margin(fam)
-    prof = _sf.frequency_profile(fam)
+    prof = _sf.checked_profile(fam)
+    margin = prof.max_frequency - FREQUENCY_BOUND
     doc = _family_doc(fam)
     doc.update({
         "action": "check",
@@ -367,7 +367,7 @@ def cmd_family_entropy(args) -> int:
     closed = fam.is_union_closed()
     margin = None
     if 0.0 < worst <= FREQUENCY_BOUND + 1e-15:
-        margin = _sf.union_entropy_margin(d, worst)
+        margin = _sf.union_entropy_margin(d, worst, union=ud)
     doc = _family_doc(fam)
     doc.update({
         "action": "entropy",

@@ -8,6 +8,20 @@ subset distributions, and the family file format.  The scans built on them
 (``subset-entropy``, ``family-sweep``, ``entropy-bridge``) live in
 :mod:`entroset.scans` with every other scan engine.
 
+The engines run in NumPy on a membership bitmap: a boolean array of length
+2^ground_n with entry m set when mask m is present.  Union closure adds
+the members in ascending order and skips those already present, so only
+the join-irreducible members cost a pass over the bitmap; closed-ness is
+the same pass stopped at the first union outside the family.  Pairwise
+work (the first violating pair, the union distribution) goes through
+member rows in blocks of at most ``_BLOCK_ELEMENTS`` pairs, which keeps
+every transient array near 0.5 MB at any family size the module accepts.
+The census decides the masks of the power set in ascending order, so it
+builds only closed families, and reads sizes and element counts off the
+codes with popcounts (``np.bitwise_count``, NumPy 2.0 and later).  NumPy
+costs the command line nothing extra at start-up: ``entroset.cli`` loads
+it through :mod:`entroset.scans` either way.
+
 Two margins live here:
 
 * ``frequency_bound_margin``: for a union-closed family, some element
@@ -27,10 +41,12 @@ log2(size) is an upper bound for it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .kernel import FREQUENCY_BOUND, binary_entropy, as_prob
 from .report import PreconditionError
@@ -44,6 +60,7 @@ __all__ = [
     "indices_from_mask",
     "union_closure",
     "frequency_profile",
+    "checked_profile",
     "counts_meet_bound",
     "frequency_bound_margin",
     "union_distribution",
@@ -66,8 +83,12 @@ MAX_GROUND = 16
 #: Largest ground set for exhaustive family enumeration (2^(2^4) candidates).
 MAX_ENUM_GROUND = 4
 
-#: Largest support size for the exact quadratic union distribution.
+#: Largest support size for the exact union distribution: 4096^2 pairs,
+#: about 0.2 s on the bitmap engine.
 MAX_UNION_SUPPORT = 4096
+
+#: Most pairs (or bitmap entries) any one block of the bitmap engines holds.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 class SetFamilyError(ValueError):
@@ -130,20 +151,36 @@ class SetFamily:
         return len(self.members)
 
     def __contains__(self, mask: int) -> bool:
-        return int(mask) in set(self.members)
+        mask = int(mask)
+        i = bisect_left(self.members, mask)
+        return i < len(self.members) and self.members[i] == mask
 
     def violating_pair(self) -> tuple[int, int] | None:
-        """First member pair whose union is missing, or None when closed."""
-        have = set(self.members)
-        for a, b in combinations(self.members, 2):
-            if (a | b) not in have:
-                return (a, b)
-        return None
+        """First member pair, in ``combinations`` order, whose union is missing.
+
+        None when the family is union-closed.  Otherwise row blocks of the
+        member-by-member union table are looked up in the membership
+        bitmap until one holds a miss.  The first miss in row-major order
+        lies above the diagonal (a miss below it would mirror one in an
+        earlier row), so it is the first pair ``combinations`` would give.
+        """
+        if self.is_union_closed():
+            return None
+        members = np.array(self.members, dtype=np.int64)
+        inside = _bitmap(self.ground_n, members)
+        rows = max(1, _BLOCK_ELEMENTS // len(members))
+        for i in range(0, len(members), rows):
+            miss = ~inside[members[i:i + rows, None] | members[None, i:]]
+            if miss.any():
+                r, c = np.unravel_index(int(np.argmax(miss)), miss.shape)
+                return (self.members[i + r], self.members[i + c])
+        raise AssertionError("a family that is not closed has a violating pair")
 
     def is_union_closed(self) -> bool:
         cached = getattr(self, "_closed")
         if cached is None:
-            cached = self.violating_pair() is None
+            inside = _bitmap(self.ground_n, np.array(self.members, dtype=np.int64))
+            cached = _closure_bitmap(self.ground_n, self.members, inside) is not None
             object.__setattr__(self, "_closed", cached)
         return cached
 
@@ -152,22 +189,40 @@ class SetFamily:
         return self.members == (0,)
 
 
+def _bitmap(ground_n: int, members: np.ndarray) -> np.ndarray:
+    """Membership bitmap: entry m is True when mask m is a member."""
+    have = np.zeros(1 << ground_n, dtype=bool)
+    have[members] = True
+    return have
+
+
+def _closure_bitmap(
+    ground_n: int, members: Iterable[int], inside: np.ndarray | None = None
+) -> np.ndarray | None:
+    """Bitmap of the union closure of ascending ``members``.
+
+    Adding g to a closed S gives S | {g} | {s | g : s in S}.  A member
+    already present is skipped: in ascending order a reducible member is
+    the union of two smaller ones, so only join-irreducible members cost
+    a pass.  With ``inside``, returns None at the first union outside it.
+    """
+    have = np.zeros(1 << ground_n, dtype=bool)
+    for g in members:
+        if have[g]:
+            continue
+        fresh = np.flatnonzero(have) | g
+        if inside is not None and not inside[fresh].all():
+            return None
+        have[fresh] = True
+        have[g] = True
+    return have
+
+
 def union_closure(members: Iterable[int], ground_n: int) -> SetFamily:
     """Smallest union-closed family containing ``members``."""
     base = SetFamily(ground_n, members)
-    closed = set(base.members)
-    frontier = list(closed)
-    while frontier:
-        snapshot = tuple(closed)
-        fresh = set()
-        for a in frontier:
-            for b in snapshot:
-                u = a | b
-                if u not in closed and u not in fresh:
-                    fresh.add(u)
-        closed |= fresh
-        frontier = list(fresh)
-    return SetFamily(ground_n, closed)
+    have = _closure_bitmap(ground_n, base.members)
+    return SetFamily(ground_n, np.flatnonzero(have).tolist())
 
 
 @dataclass(frozen=True)
@@ -185,11 +240,8 @@ def frequency_profile(f: SetFamily) -> FrequencyProfile:
     """Count, per element, the fraction of members containing it."""
     if f.ground_n == 0:
         raise SetFamilyError("no ground elements to profile")
-    counts = [0] * f.ground_n
-    for m in f.members:
-        for i in range(f.ground_n):
-            if m >> i & 1:
-                counts[i] += 1
+    members = np.array(f.members, dtype=np.int64)
+    counts = [int(np.count_nonzero(members >> i & 1)) for i in range(f.ground_n)]
     size = len(f.members)
     freqs = tuple(c / size for c in counts)
     best = max(range(f.ground_n), key=lambda i: (counts[i], -i))
@@ -239,14 +291,22 @@ def _set_label(mask: int) -> str:
     return ",".join(str(i) for i in indices_from_mask(mask))
 
 
+def checked_profile(f: SetFamily) -> FrequencyProfile:
+    """Frequency profile of a family the bound speaks about.
+
+    Rejects non-closed input and the degenerate empty-set-only family.
+    """
+    _require_checkable(f)
+    return frequency_profile(f)
+
+
 def frequency_bound_margin(f: SetFamily) -> float:
     """Max element frequency minus FREQUENCY_BOUND, as a float margin.
 
     Nonnegative for every admissible union-closed family.  Rejects
     non-closed input and the degenerate empty-set-only family.
     """
-    _require_checkable(f)
-    return frequency_profile(f).max_frequency - FREQUENCY_BOUND
+    return checked_profile(f).max_frequency - FREQUENCY_BOUND
 
 
 @dataclass(frozen=True)
@@ -316,8 +376,10 @@ class SubsetDistribution:
 def union_distribution(d: SubsetDistribution) -> SubsetDistribution:
     """Exact distribution of A | B for independent samples A, B from ``d``.
 
-    Full quadratic double loop with compensated per-mask accumulation, so
-    total probability survives to well under 1e-12.  Support sizes above
+    Every ordered pair of atoms is visited: each block of rows sums its
+    products into a per-mask vector with ``np.bincount``, and the blocks
+    are folded together with a vectorized Neumaier step, so total
+    probability survives to well under 1e-12.  Support sizes above
     MAX_UNION_SUPPORT are rejected rather than silently approximated.
     """
     atoms = d.atoms
@@ -326,31 +388,33 @@ def union_distribution(d: SubsetDistribution) -> SubsetDistribution:
             f"support of {len(atoms)} atoms exceeds the exact-union cap "
             f"{MAX_UNION_SUPPORT}"
         )
-    acc: dict[int, float] = {}
-    comp: dict[int, float] = {}
-    for pa, a in atoms:
-        for pb, b in atoms:
-            m = a | b
-            term = pa * pb
-            s = acc.get(m, 0.0)
-            t = s + term
-            # Neumaier update keeps each bucket exact to the last bit
-            if abs(s) >= abs(term):
-                comp[m] = comp.get(m, 0.0) + ((s - t) + term)
-            else:
-                comp[m] = comp.get(m, 0.0) + ((term - t) + s)
-            acc[m] = t
-    return SubsetDistribution(
-        d.ground_n, [(acc[m] + comp[m], m) for m in sorted(acc)]
-    )
+    p = np.array([pa for pa, _ in atoms])
+    m = np.array([a for _, a in atoms], dtype=np.int64)
+    size = 1 << d.ground_n
+    acc = np.zeros(size)
+    comp = np.zeros(size)
+    rows = max(1, _BLOCK_ELEMENTS // len(atoms))
+    for i in range(0, len(atoms), rows):
+        codes = (m[i:i + rows, None] | m[None, :]).ravel()
+        term = np.bincount(codes, weights=(p[i:i + rows, None] * p[None, :]).ravel(),
+                           minlength=size)
+        t = acc + term
+        comp += np.where(np.abs(acc) >= term, (acc - t) + term, (term - t) + acc)
+        acc = t
+    total = acc + comp
+    support = np.flatnonzero(total)
+    return SubsetDistribution(d.ground_n, zip(total[support].tolist(), support.tolist()))
 
 
-def union_entropy_margin(d: SubsetDistribution, alpha: float) -> float:
+def union_entropy_margin(
+    d: SubsetDistribution, alpha: float, union: SubsetDistribution | None = None
+) -> float:
     """Margin of the subset-level union entropy bound at level ``alpha``.
 
     For element marginals all <= alpha <= FREQUENCY_BOUND, the entropy of
     A | B dominates H(alpha^2)/H(alpha) times the entropy of A.  Returns
-    the left side minus the right side.
+    the left side minus the right side.  A caller that already holds
+    ``union_distribution(d)`` passes it as ``union``.
     """
     alpha = as_prob(alpha, "alpha")
     if not (0.0 < alpha <= FREQUENCY_BOUND + 1e-15):
@@ -364,7 +428,38 @@ def union_entropy_margin(d: SubsetDistribution, alpha: float) -> float:
             "the bound needs every marginal at or below alpha"
         )
     ratio = binary_entropy(alpha * alpha) / binary_entropy(alpha)
-    return union_distribution(d).entropy() - ratio * d.entropy()
+    if union is None:
+        union = union_distribution(d)
+    return union.entropy() - ratio * d.entropy()
+
+
+def _enum_ground(ground_n: int) -> int:
+    ground_n = int(ground_n)
+    if not (0 <= ground_n <= MAX_ENUM_GROUND):
+        raise SetFamilyError(
+            f"exhaustive enumeration needs ground_n <= {MAX_ENUM_GROUND}"
+        )
+    return ground_n
+
+
+def _closed_codes(ground_n: int) -> np.ndarray:
+    """Ascending codes of every nonempty union-closed family on ``ground_n``.
+
+    Masks are decided in ascending order over a frontier of partial codes.
+    Since a | b >= max(a, b), a mask that is the union of two included
+    masks is forced in; any other mask is free, and either choice keeps
+    the family closed.  So only closed codes are ever built.
+    """
+    codes = np.zeros(1, dtype=np.int64)
+    for m in range(1 << ground_n):
+        forced = np.zeros(codes.shape, dtype=bool)
+        for a in range(m):
+            for b in range(a + 1, m):
+                if a | b == m:
+                    forced |= (codes >> a) & (codes >> b) & 1 == 1
+        free = codes[~forced]
+        codes = np.concatenate((codes[forced] | 1 << m, free, free | 1 << m))
+    return np.sort(codes[codes != 0])
 
 
 def enumerate_union_closed(ground_n: int) -> Iterator[SetFamily]:
@@ -374,24 +469,9 @@ def enumerate_union_closed(ground_n: int) -> Iterator[SetFamily]:
     mask m is a member) and visited in ascending code order, so the
     stream is canonical.
     """
-    ground_n = int(ground_n)
-    if not (0 <= ground_n <= MAX_ENUM_GROUND):
-        raise SetFamilyError(
-            f"exhaustive enumeration needs ground_n <= {MAX_ENUM_GROUND}"
-        )
-    n_masks = 1 << ground_n
-    for code in range(1, 1 << n_masks):
-        members = [m for m in range(n_masks) if code >> m & 1]
-        closed = True
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                if not code >> (a | b) & 1:
-                    closed = False
-                    break
-            if not closed:
-                break
-        if closed:
-            yield SetFamily(ground_n, members)
+    ground_n = _enum_ground(ground_n)
+    for code in _closed_codes(ground_n).tolist():
+        yield family_from_code(code, ground_n)
 
 
 def family_code(f: SetFamily) -> int:
@@ -413,21 +493,29 @@ def family_census(ground_n: int) -> list[dict]:
     Each row carries the family code, its size, the max frequency as an
     exact integer pair, the float margin over FREQUENCY_BOUND, and the
     exact verdicts for the bound and for the stronger 1/2 conjecture.
+    Rows come in ascending code order.  Sizes and element counts are
+    popcounts of the codes: element i's count is the popcount of the code
+    restricted to the masks that contain i.
     """
+    ground_n = _enum_ground(ground_n)
+    codes = _closed_codes(ground_n)
+    codes = codes[codes != 1]  # the degenerate family {{}}
+    tops = np.zeros(codes.shape, dtype=np.uint8)
+    for i in range(ground_n):
+        holders = sum(1 << m for m in range(1 << ground_n) if m >> i & 1)
+        tops = np.maximum(tops, np.bitwise_count(codes & holders))
     rows = []
-    for f in enumerate_union_closed(ground_n):
-        if f.is_degenerate():
-            continue
-        prof = frequency_profile(f)
-        top = max(prof.counts)
+    for code, size, top in zip(
+        codes.tolist(), np.bitwise_count(codes).tolist(), tops.tolist()
+    ):
         rows.append({
-            "family_id": family_code(f),
-            "size": prof.family_size,
+            "family_id": code,
+            "size": size,
             "max_frequency_num": top,
-            "max_frequency_den": prof.family_size,
-            "margin": top / prof.family_size - FREQUENCY_BOUND,
-            "meets_bound": counts_meet_bound(top, prof.family_size),
-            "meets_half": 2 * top >= prof.family_size,
+            "max_frequency_den": size,
+            "margin": top / size - FREQUENCY_BOUND,
+            "meets_bound": counts_meet_bound(top, size),
+            "meets_half": 2 * top >= size,
         })
     return rows
 

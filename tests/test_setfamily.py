@@ -2,15 +2,23 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import entroset.setfamily as setfamily
 from entroset.kernel import FREQUENCY_BOUND
 from entroset.report import PreconditionError, ScanConfig
 from entroset.setfamily import (
     MAX_ENUM_GROUND,
+    MAX_GROUND,
+    MAX_UNION_SUPPORT,
     SetFamily,
     SetFamilyError,
     SubsetDistribution,
@@ -61,6 +69,103 @@ def brute_force_union_closed(ground_n: int) -> list[tuple[int, ...]]:
             s = set(combo)
             if all(a | b in s for a in combo for b in combo):
                 out.append(tuple(sorted(combo)))
+    return out
+
+
+# ----------------------------------------------------------------------
+# the pure-Python engines the bitmap engines replaced, kept as oracles
+# ----------------------------------------------------------------------
+
+def oracle_violating_pair(f: SetFamily) -> tuple[int, int] | None:
+    have = set(f.members)
+    for a, b in itertools.combinations(f.members, 2):
+        if (a | b) not in have:
+            return (a, b)
+    return None
+
+
+def oracle_union_closure(members, ground_n: int) -> tuple[int, ...]:
+    closed = set(SetFamily(ground_n, members).members)
+    frontier = list(closed)
+    while frontier:
+        snapshot = tuple(closed)
+        fresh = set()
+        for a in frontier:
+            for b in snapshot:
+                u = a | b
+                if u not in closed and u not in fresh:
+                    fresh.add(u)
+        closed |= fresh
+        frontier = list(fresh)
+    return tuple(sorted(closed))
+
+
+def oracle_union_distribution(d: SubsetDistribution) -> SubsetDistribution:
+    acc: dict[int, float] = {}
+    comp: dict[int, float] = {}
+    for pa, a in d.atoms:
+        for pb, b in d.atoms:
+            m = a | b
+            term = pa * pb
+            s = acc.get(m, 0.0)
+            t = s + term
+            if abs(s) >= abs(term):
+                comp[m] = comp.get(m, 0.0) + ((s - t) + term)
+            else:
+                comp[m] = comp.get(m, 0.0) + ((term - t) + s)
+            acc[m] = t
+    return SubsetDistribution(
+        d.ground_n, [(acc[m] + comp[m], m) for m in sorted(acc)]
+    )
+
+
+def oracle_enumerate_union_closed(ground_n: int):
+    n_masks = 1 << ground_n
+    for code in range(1, 1 << n_masks):
+        members = [m for m in range(n_masks) if code >> m & 1]
+        if all(code >> (a | b) & 1 for a, b in itertools.combinations(members, 2)):
+            yield SetFamily(ground_n, members)
+
+
+def oracle_family_census(ground_n: int) -> list[dict]:
+    rows = []
+    for f in oracle_enumerate_union_closed(ground_n):
+        if f.is_degenerate():
+            continue
+        top = max(sum(m >> i & 1 for m in f.members) for i in range(ground_n))
+        size = len(f.members)
+        rows.append({
+            "family_id": family_code(f),
+            "size": size,
+            "max_frequency_num": top,
+            "max_frequency_den": size,
+            "margin": top / size - FREQUENCY_BOUND,
+            "meets_bound": counts_meet_bound(top, size),
+            "meets_half": 2 * top >= size,
+        })
+    return rows
+
+
+def random_members(rng: np.random.Generator, ground_n: int) -> list[int]:
+    """Up to 8 random masks, so a closure holds at most 2^8 members."""
+    k = int(rng.integers(1, 9))
+    return [int(m) for m in rng.integers(0, 1 << ground_n, size=k)]
+
+
+def equivalence_families(seed: int) -> list[SetFamily]:
+    """Seeded families for every ground size: closures, raw picks (mostly
+    not closed) and closures with one member dropped (not closed when that
+    member was reducible)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in range(MAX_GROUND + 1):
+        for _ in range(4):
+            picks = random_members(rng, n)
+            closed = SetFamily(n, oracle_union_closure(picks, n))
+            out += [closed, SetFamily(n, picks)]
+            if len(closed) > 1:
+                drop = closed.members[int(rng.integers(len(closed)))]
+                out.append(SetFamily(n, [m for m in closed.members if m != drop]))
     return out
 
 
@@ -316,3 +421,106 @@ class TestScanEngines:
     def test_sweep_worst_family_is_the_pair(self):
         r = family_sweep_scan(4)
         assert r.min_margin == pytest.approx(0.5 - FREQUENCY_BOUND, abs=1e-15)
+
+
+class TestBitmapEngines:
+    """The bitmap engines against the pure-Python oracles above."""
+
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_closedness_and_first_pair(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(setfamily, "_BLOCK_ELEMENTS", block)
+        fams = equivalence_families(83)
+        assert any(not f.is_union_closed() for f in fams if f.ground_n == MAX_GROUND)
+        for f in fams:
+            want = oracle_violating_pair(f)
+            assert f.violating_pair() == want, f
+            assert f.is_union_closed() == (want is None)
+
+    def test_first_pair_of_the_pair(self):
+        assert SetFamily(2, [1, 2]).violating_pair() == (1, 2)
+        # a late miss: the power set of [4] without {0,1,2}
+        f = SetFamily(4, [m for m in range(16) if m != 0b0111])
+        assert f.violating_pair() == oracle_violating_pair(f) == (0b0001, 0b0110)
+
+    def test_closure_members(self):
+        rng = np.random.default_rng(89)
+        for n in range(MAX_GROUND + 1):
+            for _ in range(6):
+                picks = random_members(rng, n)
+                assert union_closure(picks, n).members == oracle_union_closure(picks, n)
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_union_law(self, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(setfamily, "_BLOCK_ELEMENTS", block)
+        rng = np.random.default_rng(97)
+        for n in range(MAX_GROUND + 1):
+            for _ in range(3):
+                k = int(rng.integers(1, min(1 << n, 300) + 1))
+                picks = rng.choice(1 << n, size=k, replace=False)
+                w = rng.exponential(size=k) * 10.0 ** rng.uniform(-6, 0, size=k)
+                d = SubsetDistribution(n, zip((w / w.sum()).tolist(), picks.tolist()))
+                got, want = union_distribution(d), oracle_union_distribution(d)
+                assert got.support() == want.support()
+                for (p, _), (q, _) in zip(got.atoms, want.atoms):
+                    assert abs(p - q) <= 1e-13 * q
+                assert abs(math.fsum(p for p, _ in got.atoms) - 1.0) <= 1e-12
+
+    def test_union_law_blocks_keep_to_the_budget(self, monkeypatch):
+        budget = 64
+        monkeypatch.setattr(setfamily, "_BLOCK_ELEMENTS", budget)
+        seen = []
+        bincount = np.bincount
+
+        def spy(codes, **kw):
+            seen.append(codes.size)
+            return bincount(codes, **kw)
+
+        monkeypatch.setattr(setfamily.np, "bincount", spy)
+        rng = np.random.default_rng(101)
+        d = random_subset_distribution(rng, 5)
+        union_distribution(d)
+        assert seen and max(seen) <= budget
+        assert sum(seen) == len(d.atoms) ** 2
+
+    def test_family_stream_and_census(self):
+        for n in range(MAX_ENUM_GROUND + 1):
+            got = [f.members for f in enumerate_union_closed(n)]
+            assert got == [f.members for f in oracle_enumerate_union_closed(n)]
+            assert family_census(n) == oracle_family_census(n)
+
+    def test_frequency_profile_counts(self):
+        for f in equivalence_families(103):
+            if f.ground_n == 0:
+                continue
+            counts = tuple(sum(m >> i & 1 for m in f.members) for i in range(f.ground_n))
+            assert frequency_profile(f).counts == counts
+
+
+class TestStatedLimits:
+    """MAX_GROUND and MAX_UNION_SUPPORT work within seconds."""
+
+    def test_family_check_on_the_full_power_set(self, tmp_path):
+        src = tmp_path / "power.fam"
+        src.write_text(family_text(SetFamily(MAX_GROUND, range(1 << MAX_GROUND))))
+        root = Path(setfamily.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "entroset.cli", "family", "check", str(src),
+             "--out", str(tmp_path / "r")],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert "max_frequency=32768/65536" in proc.stdout
+
+    def test_union_distribution_at_the_support_cap(self):
+        rng = np.random.default_rng(107)
+        picks = rng.choice(1 << MAX_GROUND, size=MAX_UNION_SUPPORT, replace=False)
+        w = rng.exponential(size=MAX_UNION_SUPPORT)
+        d = SubsetDistribution(MAX_GROUND, zip((w / w.sum()).tolist(), picks.tolist()))
+        t0 = time.perf_counter()
+        u = union_distribution(d)
+        assert time.perf_counter() - t0 < 5.0
+        assert abs(math.fsum(p for p, _ in u.atoms) - 1.0) <= 1e-12
