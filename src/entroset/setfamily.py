@@ -8,11 +8,10 @@ subset distributions, and the family file format.  The scans built on them
 (``subset-entropy``, ``family-sweep``, ``entropy-bridge``) live in
 :mod:`entroset.scans` with every other scan engine.
 
-The engines run in NumPy on a membership bitmap: a boolean array of length
-2^ground_n with entry m set when mask m is present.  Union closure adds
-the members in ascending order and skips those already present, so only
-the join-irreducible members cost a pass over the bitmap; closed-ness is
-the same pass stopped at the first union outside the family.  Pairwise
+The engines run in NumPy on a membership bitmap: an array of length
+2^ground_n indexed by mask.  Union closure is an OR-over-subsets transform
+of the bitmap (n in-place passes, whatever the number of members), and a
+family is union-closed when its closure is no larger than itself.  Pairwise
 work (the first violating pair, the union distribution) goes through
 member rows in blocks of at most ``_BLOCK_ELEMENTS`` pairs, which keeps
 every transient array near 0.5 MB at any family size the module accepts.
@@ -83,8 +82,8 @@ MAX_GROUND = 16
 #: Largest ground set for exhaustive family enumeration (2^(2^4) candidates).
 MAX_ENUM_GROUND = 4
 
-#: Largest support size for the exact union distribution: 4096^2 pairs,
-#: about 0.2 s on the bitmap engine.
+#: Largest support size for the exact union distribution, which visits all
+#: 4096^2 ordered pairs in blocks.
 MAX_UNION_SUPPORT = 4096
 
 #: Most pairs (or bitmap entries) any one block of the bitmap engines holds.
@@ -167,7 +166,8 @@ class SetFamily:
         if self.is_union_closed():
             return None
         members = np.array(self.members, dtype=np.int64)
-        inside = _bitmap(self.ground_n, members)
+        inside = np.zeros(1 << self.ground_n, dtype=bool)
+        inside[members] = True
         rows = max(1, _BLOCK_ELEMENTS // len(members))
         for i in range(0, len(members), rows):
             miss = ~inside[members[i:i + rows, None] | members[None, i:]]
@@ -179,8 +179,8 @@ class SetFamily:
     def is_union_closed(self) -> bool:
         cached = getattr(self, "_closed")
         if cached is None:
-            inside = _bitmap(self.ground_n, np.array(self.members, dtype=np.int64))
-            cached = _closure_bitmap(self.ground_n, self.members, inside) is not None
+            closure = _closure_bitmap(self.ground_n, np.array(self.members, dtype=np.int64))
+            cached = int(np.count_nonzero(closure)) == len(self.members)
             object.__setattr__(self, "_closed", cached)
         return cached
 
@@ -189,40 +189,31 @@ class SetFamily:
         return self.members == (0,)
 
 
-def _bitmap(ground_n: int, members: np.ndarray) -> np.ndarray:
-    """Membership bitmap: entry m is True when mask m is a member."""
-    have = np.zeros(1 << ground_n, dtype=bool)
-    have[members] = True
-    return have
+def _closure_bitmap(ground_n: int, members: np.ndarray) -> np.ndarray:
+    """Bitmap of the union closure of the ascending ``members``.
 
-
-def _closure_bitmap(
-    ground_n: int, members: Iterable[int], inside: np.ndarray | None = None
-) -> np.ndarray | None:
-    """Bitmap of the union closure of ascending ``members``.
-
-    Adding g to a closed S gives S | {g} | {s | g : s in S}.  A member
-    already present is skipped: in ascending order a reducible member is
-    the union of two smaller ones, so only join-irreducible members cost
-    a pass.  With ``inside``, returns None at the first union outside it.
+    A nonempty x is a union of members exactly when it is the union of
+    all the members inside it.  An OR-over-subsets transform computes
+    that union for every x at once: n in-place passes over the bitmap,
+    whatever the number of members.  The empty set is in the closure only
+    as a member.
     """
-    have = np.zeros(1 << ground_n, dtype=bool)
-    for g in members:
-        if have[g]:
-            continue
-        fresh = np.flatnonzero(have) | g
-        if inside is not None and not inside[fresh].all():
-            return None
-        have[fresh] = True
-        have[g] = True
-    return have
+    size = 1 << ground_n
+    low = np.zeros(size, dtype=np.int64)
+    low[members] = members
+    for i in range(ground_n):
+        pairs = low.reshape(-1, 2, 1 << i)
+        pairs[:, 1, :] |= pairs[:, 0, :]
+    closed = low == np.arange(size)
+    closed[0] = members[0] == 0
+    return closed
 
 
 def union_closure(members: Iterable[int], ground_n: int) -> SetFamily:
     """Smallest union-closed family containing ``members``."""
     base = SetFamily(ground_n, members)
-    have = _closure_bitmap(ground_n, base.members)
-    return SetFamily(ground_n, np.flatnonzero(have).tolist())
+    closed = _closure_bitmap(ground_n, np.array(base.members, dtype=np.int64))
+    return SetFamily(ground_n, np.flatnonzero(closed).tolist())
 
 
 @dataclass(frozen=True)
