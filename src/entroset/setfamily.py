@@ -86,7 +86,7 @@ MAX_ENUM_GROUND = 4
 #: 4096^2 ordered pairs in blocks.
 MAX_UNION_SUPPORT = 4096
 
-#: Most pairs (or bitmap entries) any one block of the bitmap engines holds.
+#: Most pairs any one block of the pairwise engines holds (about 0.5 MB as int64).
 _BLOCK_ELEMENTS = 1 << 16
 
 

@@ -448,6 +448,9 @@ class TestBitmapEngines:
             for _ in range(6):
                 picks = random_members(rng, n)
                 assert union_closure(picks, n).members == oracle_union_closure(picks, n)
+        singletons = [1 << i for i in range(MAX_GROUND)]
+        assert union_closure(singletons, MAX_GROUND).members == tuple(range(1, 1 << MAX_GROUND))
+        assert union_closure([0], MAX_GROUND).members == (0,)
 
     @pytest.mark.parametrize("block", [None, 7])
     def test_union_law(self, block, monkeypatch):
