@@ -132,13 +132,29 @@ def _verify_cfg(args, check: _scans.Check) -> ScanConfig | None:
     return replace(check.cfg, **kw)
 
 
+def _rows_drawn(r: ScanReport) -> int | None:
+    """Rows a rejection-sampling check drew, from its report: ``raw_draws``,
+    or the pairs times the rows drawn per pair for optimum-search; None for
+    a check that does not sample."""
+    details = r.details or {}
+    if "raw_draws" in details:
+        return details["raw_draws"]
+    if "pairs" in details:
+        return details["pairs"] * r.config["random_samples"]
+    return None
+
+
 def _check_timing(r: ScanReport, elapsed: float) -> dict:
-    """One manifest entry: where a check's time went and how far its vector
-    route was from the scalar certifier (None for a check with one route)."""
+    """One manifest entry: where a check's time went, what share of the rows
+    it drew it kept (None for a check that does not sample, or drew none),
+    and how far its vector route was from the scalar certifier (None for a
+    check with one route)."""
+    drawn = _rows_drawn(r)
     return {
         "name": r.name,
         "elapsed_s": elapsed,
         "points_per_s": r.points_checked / elapsed if elapsed > 0.0 else None,
+        "accept_ratio": r.points_checked / drawn if drawn else None,
         "route_gap": (r.details or {}).get("route_gap"),
     }
 

@@ -5,8 +5,11 @@ Scalar primitives for the entropy of a biased coin and for the rate map
 closed-form derivative, and the numerical inverse of the rate.  Array
 versions of the hot primitives are provided for the bulk scan engines;
 they use the same formulas and are cross-checked against the scalar path
-in the test suite.  The inverse is one algorithm in both forms: a guess
-from a table of the rate built once at import, then two Newton steps.
+in the test suite.  ``binary_entropy_arr``, which the others call, works
+through its input in blocks of ``_BLOCK`` elements with in-place ufuncs,
+so a large call's temporaries stay in cache.  The inverse is one
+algorithm in both forms: a guess from a table of the rate built once at
+import, then two Newton steps.
 
 Conventions
 -----------
@@ -165,29 +168,51 @@ _RATE_AT_ONE_ULP = _rate(1.0 - 2.0 ** -52)
 # path; inputs are trusted to lie in the valid range.
 # ---------------------------------------------------------------------------
 
+#: Elements per block of binary_entropy_arr: 8192 doubles, 64 KiB per temporary.
+_BLOCK = 8192
+
 
 def binary_entropy_arr(x: np.ndarray) -> np.ndarray:
-    """Elementwise binary entropy in bits for x in [0, 1]."""
+    """Elementwise binary entropy in bits for x in [0, 1].
+
+    Per element: s = min(x, 1 - x), then -s log2(s) - (1 - s) log1p(-s)
+    log2(e), capped at 1, and +0.0 wherever s is not positive.
+    """
     x = np.asarray(x, dtype=float)
-    s = np.minimum(x, 1.0 - x)
-    out = np.zeros(s.shape, dtype=float)
-    m = s > 0.0
-    sm = s[m]
-    out[m] = -sm * np.log2(sm) - (1.0 - sm) * np.log1p(-sm) * LOG2E
-    np.minimum(out, 1.0, out=out)
+    out = np.empty(x.shape, dtype=float)
+    flat_x = x.ravel()
+    flat_out = out.reshape(-1)
+    n = flat_x.size
+    s_buf = np.empty(min(n, _BLOCK))
+    t_buf = np.empty(min(n, _BLOCK))
+    # s = 0 makes 0 * -inf = NaN, and NaN marks every element whose s is
+    # not positive; the last step turns those into +0.0.  Every other
+    # element is positive, so fmax leaves it as it is.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(0, n, _BLOCK):
+            xb = flat_x[i:i + _BLOCK]
+            ob = flat_out[i:i + _BLOCK]
+            s = s_buf[:xb.size]
+            t = t_buf[:xb.size]
+            np.subtract(1.0, xb, out=s)
+            np.minimum(xb, s, out=s)
+            np.negative(s, out=t)
+            np.log2(s, out=ob)
+            np.multiply(t, ob, out=ob)
+            np.log1p(t, out=t)
+            np.subtract(1.0, s, out=s)
+            np.multiply(s, t, out=t)
+            np.multiply(t, LOG2E, out=t)
+            np.subtract(ob, t, out=ob)
+            np.minimum(ob, 1.0, out=ob)
+            np.fmax(ob, 0.0, out=ob)
     return out
 
 
 def entropy_of_square_arr(x: np.ndarray) -> np.ndarray:
     """Elementwise H(x^2) with the cancellation-free complement branch."""
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape, dtype=float)
-    hi = x > 0.7
-    lo = ~hi
-    out[lo] = binary_entropy_arr(x[lo] * x[lo])
-    xh = x[hi]
-    out[hi] = binary_entropy_arr((1.0 - xh) * (1.0 + xh))
-    return out
+    return binary_entropy_arr(np.where(x > 0.7, (1.0 - x) * (1.0 + x), x * x))
 
 
 def entropy_rate_arr(x: np.ndarray) -> np.ndarray:

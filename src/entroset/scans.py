@@ -137,8 +137,15 @@ __all__ = [
     "SCAN_NAMES",
 ]
 
-#: Sample rows drawn per batch inside the randomized engines.
+#: Sample rows drawn per batch inside the randomized engines.  Each engine
+#: makes its RNG calls batch by batch, in a fixed order and with fixed
+#: shapes, so this size is part of every sampled report's byte-stability.
 _BATCH = 65536
+
+#: Rows per block when an engine works through a drawn batch, so that the
+#: temporaries of each step stay in cache.  Every row is computed on its
+#: own, so the block size changes no result.
+_ROWS = 4096
 
 #: Shared z-grid for the scaled-merge margin family.
 _Z_GRID = tuple(i / 20.0 for i in range(21))
@@ -560,24 +567,24 @@ def _worst_rows(
 ) -> tuple[float, tuple, int, int]:
     """Rejection-sample rows until ``needed`` are kept, tracking the worst.
 
-    ``draw()`` returns one batch as ``(keep, *columns)``: a boolean mask
-    over the batch's rows, then arrays whose first axis runs over them.
-    ``margins(*columns)`` gives the margin of each kept row.  Returns
-    ``(best, row, checked, drawn)``: the least margin, that row's entry in
-    each column (``()`` when nothing was kept), the rows checked and the
-    rows drawn.  Ties go to the row drawn first.
+    ``draw()`` returns one batch as ``(drawn, *columns)``: the number of
+    rows drawn, then arrays whose first axis runs over the rows kept, in
+    the order drawn.  ``margins(*columns)`` gives the margin of each kept
+    row.  Returns ``(best, row, checked, drawn)``: the least margin, that
+    row's entry in each column (``()`` when nothing was kept), the rows
+    checked and the rows drawn.  Ties go to the row drawn first.
     """
     best = math.inf
     row: tuple = ()
     checked = 0
     drawn = 0
     while checked < needed:
-        keep, *columns = draw()
-        drawn += keep.size
-        if not keep.any():
+        batch_drawn, *columns = draw()
+        drawn += batch_drawn
+        if not len(columns[0]):
             continue
-        take = min(int(np.count_nonzero(keep)), needed - checked)
-        kept = [c[keep][:take] for c in columns]
+        take = min(len(columns[0]), needed - checked)
+        kept = [c[:take] for c in columns]
         m = margins(*kept)
         i = int(np.argmin(m))
         if float(m[i]) < best:
@@ -664,15 +671,51 @@ def scan_tail_rate(cfg: ScanConfig) -> ScanReport:
 # ----------------------------------------------------------------------
 
 def _sample_batch(rng: np.random.Generator, m: int, kmax: int = 6):
-    """(weights, values) for m random distributions, zero-padded to kmax."""
+    """``(counts, weights, values)`` for m random distributions of 1 to kmax
+    atoms: the atom counts, and weights and values zero-padded to kmax.
+
+    The three RNG calls come first, each for the whole batch and in this
+    order: counts, exponential weights, uniform values.  That order and
+    those shapes are part of every sampled report's byte-stability.  The
+    weights are normalized in row blocks; their sums are column-wise adds,
+    the same bits as ``sum(axis=1)``, which adds in order below 8 columns.
+    """
     counts = rng.integers(1, kmax + 1, size=m)
-    live = np.arange(kmax)[None, :] < counts[:, None]
-    raw = rng.exponential(size=(m, kmax))
-    raw *= live
-    weights = raw / raw.sum(axis=1, keepdims=True)
+    weights = rng.exponential(size=(m, kmax))
     values = rng.uniform(size=(m, kmax))
-    values *= live
-    return weights, values
+    # row k of the table is the live-atom mask, as 0/1, of a k-atom row
+    table = (np.arange(kmax) < np.arange(kmax + 1)[:, None]).astype(float)
+    for b in _row_blocks(m):
+        w = weights[b]
+        v = values[b]
+        live = np.take(table, counts[b], axis=0)
+        w *= live
+        v *= live
+        w /= _column_sum(w)[:, None]
+    return counts, weights, values
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of at most ``_ROWS`` rows that cover ``range(n)``; one empty
+    slice when n = 0, so that the columns kept from it are empty but keep
+    their shapes."""
+    return [slice(i, i + _ROWS) for i in range(0, max(n, 1), _ROWS)]
+
+
+def _column_sum(a: np.ndarray) -> np.ndarray:
+    """Row sums of a 2-D array, adding its columns from left to right."""
+    total = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        total += a[:, j]
+    return total
+
+
+def _column_max(a: np.ndarray) -> np.ndarray:
+    """Row maxima of a 2-D array, column by column."""
+    top = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(top, a[:, j], out=top)
+    return top
 
 
 def _witness_atoms(w: np.ndarray, v: np.ndarray) -> tuple[tuple, tuple]:
@@ -683,38 +726,85 @@ def _witness_atoms(w: np.ndarray, v: np.ndarray) -> tuple[tuple, tuple]:
     )
 
 
-def _union_margins_arr(w: np.ndarray, v: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    hv = binary_entropy_arr(v)
-    u = np.einsum("ij,ij->i", w, hv)
+def _rows_by_mean(counts, w, v, level, below: bool) -> tuple:
+    """The rows of a batch whose mean is at most (``below``) or at least
+    their ``level``, as ``(counts, w, v, level)`` in the order drawn."""
+    parts = []
+    for b in _row_blocks(counts.size):
+        mean = np.einsum("ij,ij->i", w[b], v[b])
+        keep = np.flatnonzero(mean <= level[b] if below else mean >= level[b])
+        parts.append(tuple(np.take(c[b], keep, axis=0) for c in (counts, w, v, level)))
+    return tuple(np.concatenate(c) for c in zip(*parts))
+
+
+def _draw_levels(rng: np.random.Generator, lo: float, hi: float, below: bool):
+    """A ``draw`` for :func:`_worst_rows`: ``(counts, w, v, level)`` rows
+    with levels drawn from (lo, hi] and kept where the mean is at most the
+    level (``below``), or from [lo, hi) and kept where the mean reaches it."""
+    span = hi - lo
+
+    def draw():
+        counts, w, v = _sample_batch(rng, _BATCH)
+        u = rng.uniform(size=_BATCH)
+        level = hi - span * u if below else lo + span * u
+        return _BATCH, *_rows_by_mean(counts, w, v, level, below)
+
+    return draw
+
+
+def _union_pairs(v: np.ndarray) -> np.ndarray:
     a = v[:, :, None]
     b = v[:, None, :]
-    pair = np.clip(a + b - a * b, 0.0, 1.0)
-    lhs = np.einsum("ni,nj,nij->n", w, w, binary_entropy_arr(pair))
+    return np.clip(a + b - a * b, 0.0, 1.0)
+
+
+def _product_pairs(v: np.ndarray) -> np.ndarray:
+    return v[:, :, None] * v[:, None, :]
+
+
+def _pair_margins(counts, w, v, ratio, pairs) -> np.ndarray:
+    """``lhs - ratio * u`` per row, where u is the expected entropy and lhs
+    the expected entropy of ``pairs(v)`` over two independent draws.
+
+    Rows are grouped by their atom count k and each group builds its k x k
+    pair matrix.  A padded atom has weight zero, so over the padded
+    columns it adds only exact zeros, in the same order: the result is the
+    bits of the padded computation.
+    """
+    out = np.empty(counts.size)
+    for k in range(1, w.shape[1] + 1):
+        rows = np.flatnonzero(counts == k)
+        if rows.size:
+            wk = np.take(w[:, :k], rows, axis=0)
+            vk = np.take(v[:, :k], rows, axis=0)
+            u = np.einsum("ij,ij->i", wk, binary_entropy_arr(vk))
+            lhs = np.einsum("ni,nj,nij->n", wk, wk, binary_entropy_arr(pairs(vk)))
+            out[rows] = lhs - np.take(ratio, rows) * u
+    return out
+
+
+def _union_margins_arr(counts, w, v, alpha) -> np.ndarray:
     mix = np.clip(alpha * (2.0 - alpha), 0.0, 1.0)
     ratio = binary_entropy_arr(mix) / binary_entropy_arr(alpha)
-    return lhs - ratio * u
+    return _pair_margins(counts, w, v, ratio, _union_pairs)
 
 
-def _product_margins_arr(w: np.ndarray, v: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    hv = binary_entropy_arr(v)
-    u = np.einsum("ij,ij->i", w, hv)
-    pair = v[:, :, None] * v[:, None, :]
-    lhs = np.einsum("ni,nj,nij->n", w, w, binary_entropy_arr(pair))
+def _product_margins_arr(counts, w, v, beta) -> np.ndarray:
     ratio = entropy_of_square_arr(beta) / binary_entropy_arr(beta)
-    return lhs - ratio * u
+    return _pair_margins(counts, w, v, ratio, _product_pairs)
 
 
 def _level_witness(row: tuple) -> tuple:
-    """``(level, weights, values)`` of a kept ``(w, v, level)`` row, and
-    ``()`` for the empty row of a scan that kept none."""
+    """``(level, weights, values)`` of a kept ``(counts, w, v, level)`` row,
+    and ``()`` for the empty row of a scan that kept none."""
     if not row:
         return ()
-    w, v, level = row
+    _, w, v, level = row
     return (float(level), *_witness_atoms(w, v))
 
 
 def _level_scan(name: str, cfg: ScanConfig, draw, margins) -> ScanReport:
-    """Report the worst of ``cfg.random_samples`` kept ``(w, v, level)`` rows."""
+    """Report the worst of ``cfg.random_samples`` kept level rows."""
     best, row, checked, drawn = _worst_rows(cfg.random_samples, draw, margins)
     return _certified(
         name, checked, best, _level_witness(row), cfg.tolerance,
@@ -732,27 +822,8 @@ def scan_union_bound(cfg: ScanConfig) -> ScanReport:
             f"alpha range must sit inside (0, {FREQUENCY_BOUND}]"
         )
     rng = np.random.default_rng(cfg.seed)
-    span = cfg.range_hi - cfg.range_lo
-
-    def draw():
-        w, v = _sample_batch(rng, _BATCH)
-        level = cfg.range_hi - span * rng.uniform(size=_BATCH)
-        return np.einsum("ij,ij->i", w, v) <= level, w, v, level
-
+    draw = _draw_levels(rng, cfg.range_lo, cfg.range_hi, below=True)
     return _level_scan("union-bound", cfg, draw, _union_margins_arr)
-
-
-def _draw_mean_above(rng: np.random.Generator, lo: float, hi: float):
-    """A ``draw`` for :func:`_worst_rows`: ``(w, v, level)`` rows, kept where
-    the mean reaches a level drawn from [lo, hi)."""
-    span = hi - lo
-
-    def draw():
-        w, v = _sample_batch(rng, _BATCH)
-        level = lo + span * rng.uniform(size=_BATCH)
-        return np.einsum("ij,ij->i", w, v) >= level, w, v, level
-
-    return draw
 
 
 def scan_product_bound(cfg: ScanConfig) -> ScanReport:
@@ -765,7 +836,7 @@ def scan_product_bound(cfg: ScanConfig) -> ScanReport:
             f"beta range must sit inside [{GOLDEN_THRESHOLD}, 1)"
         )
     rng = np.random.default_rng(cfg.seed)
-    draw = _draw_mean_above(rng, cfg.range_lo, cfg.range_hi)
+    draw = _draw_levels(rng, cfg.range_lo, cfg.range_hi, below=False)
     return _level_scan("product-bound", cfg, draw, _product_margins_arr)
 
 
@@ -785,12 +856,12 @@ def bridge_gap_scan(
     """
     rng = np.random.default_rng(seed)
 
-    def margins(w, v, beta):
+    def margins(*columns):
         return np.array([_bridge_margin(bound, _level_witness(row))
-                         for row in zip(w, v, beta)])
+                         for row in zip(*columns)])
 
     best, row, checked, _ = _worst_rows(
-        samples, _draw_mean_above(rng, GOLDEN_THRESHOLD, 1.0), margins
+        samples, _draw_levels(rng, GOLDEN_THRESHOLD, 1.0, below=False), margins
     )
     return make_report(
         "bridge-gap", checked, best, _level_witness(row), 0.0,
@@ -837,15 +908,15 @@ def threshold_exploration(cfg: ScanConfig) -> ScanReport:
         )
 
         def draw():
-            w, v = _sample_batch(rng, _BATCH)
-            return np.einsum("ij,ij->i", w, v) >= beta, w, v
+            counts, w, v = _sample_batch(rng, _BATCH)
+            level = np.full(_BATCH, beta)
+            return _BATCH, *_rows_by_mean(counts, w, v, level, below=False)
 
-        def margins(w, v):
-            return _product_margins_arr(w, v, np.full(w.shape[0], beta))
-
-        sampled, row, got, _ = _worst_rows(cfg.random_samples, draw, margins)
+        sampled, row, got, _ = _worst_rows(
+            cfg.random_samples, draw, _product_margins_arr
+        )
         if sampled < row_best:
-            row_witness = (beta, *_witness_atoms(*row))
+            row_witness = _level_witness(row)
         row_points = vs.size + got
         total += row_points
         certified = _threshold_margin(row_witness)
@@ -958,6 +1029,34 @@ def reduction_consistency_scan(cfg: ScanConfig) -> ScanReport:
     )
 
 
+def _matching_candidates(w, v, t: float, u: float) -> tuple:
+    """The candidates of one search pair: ``(w, v, means, entropies)`` of
+    the rows within 1e-3 of (t, u) in mean and expected entropy, in the
+    order drawn.
+
+    Each row's values are first rescaled toward mean t, as far as the
+    largest value may go without passing 1.  Row blocks keep the
+    temporaries in cache, and entropies are taken only for the rows whose
+    rescaled mean already matches.
+    """
+    parts = []
+    for b in _row_blocks(w.shape[0]):
+        wb = w[b]
+        vb = v[b]
+        top = np.maximum(_column_max(vb), 1e-300)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.minimum(t / np.einsum("ij,ij->i", wb, vb), 1.0 / top)
+        vb = vb * scale[:, None]
+        means = np.einsum("ij,ij->i", wb, vb)
+        near = np.flatnonzero(np.abs(means - t) <= 1e-3)
+        ents = np.einsum("ij,ij->i", np.take(wb, near, axis=0),
+                         binary_entropy_arr(np.take(vb, near, axis=0)))
+        hit = np.abs(ents - u) <= 1e-3
+        rows = near[hit]
+        parts.append((*(np.take(c, rows, axis=0) for c in (wb, vb, means)), ents[hit]))
+    return tuple(np.concatenate(c) for c in zip(*parts))
+
+
 def optimum_search_scan(cfg: ScanConfig, pairs: int = 100) -> ScanReport:
     """Random search for joint entropies below the closed-form optimum.
 
@@ -978,19 +1077,11 @@ def optimum_search_scan(cfg: ScanConfig, pairs: int = 100) -> ScanReport:
         t = float(rng.uniform(0.05, 0.95))
         u = float((1.0 - rng.uniform()) * binary_entropy(t))
         cert = joint_entropy_optimum(t, u)
-        w, v = _sample_batch(rng, cfg.random_samples, kmax=3)
-        means = np.einsum("ij,ij->i", w, v)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.minimum(t / means, 1.0 / np.maximum(v, 1e-300).max(axis=1))
-        v = v * scale[:, None]
-        means = np.einsum("ij,ij->i", w, v)
-        ents = np.einsum("ij,ij->i", w, binary_entropy_arr(v))
-        keep = (np.abs(means - t) <= 1e-3) & (np.abs(ents - u) <= 1e-3)
-        if not keep.any():
+        _, w, v = _sample_batch(rng, cfg.random_samples, kmax=3)
+        w2, v2, m2, e2 = _matching_candidates(w, v, t, u)
+        if not m2.size:
             continue
-        w2, v2 = w[keep], v[keep]
-        m2, e2 = means[keep], ents[keep]
-        pair = v2[:, :, None] * v2[:, None, :]
+        pair = _product_pairs(v2)
         joints = np.einsum("ni,nj,nij->n", w2, w2, binary_entropy_arr(pair))
         qualified += int(w2.shape[0])
         own_v = inverse_entropy_rate_arr(e2 / m2)
@@ -1126,8 +1217,10 @@ def subset_entropy_scan(cfg: ScanConfig, ground_n: int = 4) -> ScanReport:
         )
     n_masks = 1 << ground_n
     masks = np.arange(n_masks)
-    bits = ((masks[:, None] >> np.arange(ground_n)[None, :]) & 1).astype(float)
-    popcount = bits.sum(axis=1)
+    bits = (masks[:, None] >> np.arange(ground_n)[None, :]) & 1
+    damp = 3.0 ** -bits.sum(axis=1).astype(float)
+    # the masks that hold each element, in ascending order
+    holders = [np.flatnonzero(bits[:, e]) for e in range(ground_n)]
     uni = np.bitwise_or.outer(masks, masks)
     scatter = np.zeros((n_masks, n_masks, n_masks))
     ii, jj = np.meshgrid(masks, masks, indexing="ij")
@@ -1139,16 +1232,24 @@ def subset_entropy_scan(cfg: ScanConfig, ground_n: int = 4) -> ScanReport:
     def draw():
         raw = rng.exponential(size=(batch, n_masks))
         style = rng.integers(0, 3, size=batch)
-        # small-set bias: damp each mask by 3^popcount
-        raw = np.where((style == 1)[:, None], raw * 3.0 ** -popcount[None, :], raw)
         # sparse support: keep each mask with chance 1/4, empty set as fallback
         keep_mask = rng.uniform(size=(batch, n_masks)) < 0.25
         keep_mask[:, 0] = True
-        raw = np.where((style == 2)[:, None], raw * keep_mask, raw)
-        probs = raw / raw.sum(axis=1, keepdims=True)
         alpha = FREQUENCY_BOUND * (1.0 - rng.uniform(size=batch))
-        keep = ((probs @ bits).max(axis=1) <= alpha) & (probs.max(axis=1) < 1.0)
-        return keep, probs, alpha
+        parts = []
+        for b in _row_blocks(batch):
+            r = raw[b]
+            # small-set bias: damp each mask by 3^popcount
+            np.multiply(r, damp, out=r, where=(style[b] == 1)[:, None])
+            np.multiply(r, keep_mask[b], out=r, where=(style[b] == 2)[:, None])
+            probs = r / r.sum(axis=1, keepdims=True)
+            # each element's marginal, summed over its holders in mask order
+            top = np.zeros(probs.shape[0])
+            for cols in holders:
+                np.maximum(top, _column_sum(probs[:, cols]), out=top)
+            keep = np.flatnonzero((top <= alpha[b]) & (_column_max(probs) < 1.0))
+            parts.append((np.take(probs, keep, axis=0), np.take(alpha[b], keep)))
+        return batch, *(np.concatenate(c) for c in zip(*parts))
 
     def margins(p, a):
         pun = np.einsum("nab,abm->nm", np.einsum("na,nb->nab", p, p), scatter)

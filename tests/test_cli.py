@@ -71,8 +71,28 @@ class TestVerifyAll:
             assert c["points_per_s"] == pytest.approx(
                 report["points_checked"] / c["elapsed_s"])
             assert c["route_gap"] == report.get("details", {}).get("route_gap")
+            assert c["accept_ratio"] is None  # neither check samples
         assert checks[0]["route_gap"] is not None
         assert checks[1]["route_gap"] is None
+        # a sampled check reports the share of the rows it drew that it kept
+        assert main(["verify-all", "--only", "setfamily", "--samples", "2000",
+                     "--out", str(out)]) == 0
+        checks = {c["name"]: c for c in
+                  json.loads((d / "all-42.manifest.json").read_text())["checks"]}
+        report = json.loads((d / "subset-entropy-42.json").read_text())
+        ratio = checks["subset-entropy"]["accept_ratio"]
+        assert ratio == report["points_checked"] / report["details"]["raw_draws"]
+        assert 0.0 < ratio < 1.0
+        assert checks["family-sweep"]["accept_ratio"] is None
+        assert checks["entropy-bridge"]["accept_ratio"] is None
+        # optimum-search draws random_samples rows for each of its pairs
+        assert main(["scan", "optimum-search", "--samples", "2000", "--out", str(out)]) == 0
+        (timing,) = json.loads(
+            (out / "scan" / "optimum-search-42.manifest.json").read_text())["checks"]
+        report = json.loads((out / "scan" / "optimum-search-42.json").read_text())
+        assert timing["accept_ratio"] == report["points_checked"] / (
+            report["details"]["pairs"] * 2000)
+        assert 0.0 < timing["accept_ratio"] < 1.0
 
     def test_report_json_is_loadable(self, tmp_path):
         out = tmp_path / "r"

@@ -112,6 +112,39 @@ def bisect_inverse_rate_arr(y: np.ndarray) -> np.ndarray:
     return x.reshape(np.shape(y))
 
 
+def oracle_binary_entropy_arr(x: np.ndarray) -> np.ndarray:
+    """The unblocked array entropy: gather the positive s, compute, scatter."""
+    x = np.asarray(x, dtype=float)
+    s = np.minimum(x, 1.0 - x)
+    out = np.zeros(s.shape, dtype=float)
+    m = s > 0.0
+    sm = s[m]
+    out[m] = -sm * np.log2(sm) - (1.0 - sm) * np.log1p(-sm) * LOG2E
+    np.minimum(out, 1.0, out=out)
+    return out
+
+
+def oracle_entropy_of_square_arr(x: np.ndarray) -> np.ndarray:
+    """H(x^2) by branch: gathered squares and gathered complements."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape, dtype=float)
+    hi = x > 0.7
+    lo = ~hi
+    out[lo] = oracle_binary_entropy_arr(x[lo] * x[lo])
+    xh = x[hi]
+    out[hi] = oracle_binary_entropy_arr((1.0 - xh) * (1.0 + xh))
+    return out
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal types, shapes and dtypes, and equal bits: signs of zero included."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestBinaryEntropy:
     def test_endpoint_and_center_anchors(self):
         assert binary_entropy(0.0) == 0.0
@@ -268,6 +301,85 @@ class TestInverseRate:
             except DomainError:
                 pass
             assert 0 < len(calls) <= 3
+
+
+class TestBlockedKernel:
+    """The blocked array kernels against the unblocked oracles above, bit
+    for bit, on a default-sized block and on blocks of 5 and 7 elements."""
+
+    @pytest.fixture(params=[None, 5, 7])
+    def block(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(kernel, "_BLOCK", request.param)
+        return kernel._BLOCK
+
+    @staticmethod
+    def special_values() -> np.ndarray:
+        near_half = [np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                     0.5 - 2.0 ** -30, 0.5 + 2.0 ** -30]
+        return np.array([0.0, 1.0, 0.5, 5e-324, 1e-300, 1.0 - 2.0 ** -53,
+                         -0.0, 1.0 - 2.0 ** -52, 2.0 ** -1022, *near_half])
+
+    def inputs(self, block: int) -> list:
+        rng = np.random.default_rng(2024)
+        mixed = np.concatenate([
+            self.special_values(),
+            rng.uniform(size=500),
+            10.0 ** rng.uniform(-320, 0, size=200),
+            1.0 - 10.0 ** rng.uniform(-16, 0, size=200),
+        ])
+        rng.shuffle(mixed)
+        grid = rng.uniform(size=(37, 29))
+        grid[3, :] = 0.0
+        grid[:, 5] = 1.0
+        return [
+            self.special_values(),
+            np.array([]),
+            np.empty((0, 3)),
+            np.array(0.0),
+            np.array(0.3),
+            np.array(5e-324),
+            grid,
+            grid.T,                    # not contiguous
+            mixed[::3],                # strided
+            grid[::2, 1::3],
+            mixed[: block - 1],
+            mixed[:block],
+            mixed[: block + 1],
+            np.resize(mixed, 3 * block + 2),
+            [0.25, 0.75],              # not an array
+        ]
+
+    def test_entropy_is_the_oracle_bit_for_bit(self, block):
+        for x in self.inputs(block):
+            assert_same_bits(binary_entropy_arr(x), oracle_binary_entropy_arr(x))
+
+    def test_zeros_are_positive(self, block):
+        got = binary_entropy_arr(np.array([0.0, -0.0, 1.0, 0.5, 5e-324]))
+        assert got.tolist() == [0.0, 0.0, 0.0, 1.0, got[4]]
+        assert not np.signbit(got).any()
+        assert got[4] > 0.0
+
+    def test_square_and_rate_are_unchanged(self, block):
+        for x in self.inputs(block):
+            x = np.asarray(x, dtype=float)
+            assert_same_bits(entropy_of_square_arr(x), oracle_entropy_of_square_arr(x))
+            pos = np.where(x > 0.0, x, 0.5)
+            assert_same_bits(entropy_rate_arr(pos), oracle_binary_entropy_arr(pos) / pos)
+
+    def test_sizes_around_the_default_block(self):
+        rng = np.random.default_rng(7)
+        for n in (kernel._BLOCK - 1, kernel._BLOCK, kernel._BLOCK + 1):
+            x = rng.uniform(size=n)
+            x[::97] = 0.0
+            assert_same_bits(binary_entropy_arr(x), oracle_binary_entropy_arr(x))
+
+    def test_input_is_not_written(self, block):
+        x = np.linspace(0.0, 1.0, 3 * block + 1)
+        before = x.copy()
+        binary_entropy_arr(x)
+        entropy_of_square_arr(x)
+        assert np.array_equal(x, before)
 
 
 class TestArrayVersions:

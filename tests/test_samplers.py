@@ -1,0 +1,394 @@
+"""The randomized engines against the slow paths they replaced.
+
+The engines in ``scans`` work through each drawn batch in row blocks, hand
+on only the rows that pass their tests, and build pair matrices over each
+row's live atoms.  The oracles below are the same engines done the slow
+way: whole batches, rows zero-padded to six atoms, boolean gathers, and a
+matrix product for the subset marginals.  They make the same RNG calls,
+so every kept row, margin and report must come out the same, bit for bit.
+"""
+
+import json
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from entroset import kernel, scans
+from entroset.distribution import joint_entropy_optimum
+from entroset.kernel import (
+    FREQUENCY_BOUND,
+    GOLDEN_THRESHOLD,
+    binary_entropy,
+    entropy_of_square,
+    inverse_entropy_rate_arr,
+)
+from entroset.report import make_report, report_to_json
+from entroset.scans import CHECKS
+
+from test_kernel import (
+    assert_same_bits,
+    oracle_binary_entropy_arr,
+    oracle_entropy_of_square_arr,
+)
+
+H = oracle_binary_entropy_arr
+
+
+# ----------------------------------------------------------------------
+# oracles
+# ----------------------------------------------------------------------
+
+def oracle_sample_batch(rng, m, kmax=6):
+    """``(weights, values)`` for m distributions, zero-padded to kmax."""
+    counts = rng.integers(1, kmax + 1, size=m)
+    live = np.arange(kmax)[None, :] < counts[:, None]
+    raw = rng.exponential(size=(m, kmax))
+    raw *= live
+    weights = raw / raw.sum(axis=1, keepdims=True)
+    values = rng.uniform(size=(m, kmax))
+    values *= live
+    return weights, values
+
+
+def oracle_union_margins(w, v, alpha):
+    hv = H(v)
+    u = np.einsum("ij,ij->i", w, hv)
+    a = v[:, :, None]
+    b = v[:, None, :]
+    pair = np.clip(a + b - a * b, 0.0, 1.0)
+    lhs = np.einsum("ni,nj,nij->n", w, w, H(pair))
+    mix = np.clip(alpha * (2.0 - alpha), 0.0, 1.0)
+    ratio = H(mix) / H(alpha)
+    return lhs - ratio * u
+
+
+def oracle_product_margins(w, v, beta):
+    hv = H(v)
+    u = np.einsum("ij,ij->i", w, hv)
+    pair = v[:, :, None] * v[:, None, :]
+    lhs = np.einsum("ni,nj,nij->n", w, w, H(pair))
+    ratio = oracle_entropy_of_square_arr(beta) / H(beta)
+    return lhs - ratio * u
+
+
+def oracle_worst_rows(needed, draw, margins):
+    """``draw()`` returns ``(keep, *columns)`` over the whole batch."""
+    best = math.inf
+    row = ()
+    checked = 0
+    drawn = 0
+    while checked < needed:
+        keep, *columns = draw()
+        drawn += keep.size
+        if not keep.any():
+            continue
+        take = min(int(np.count_nonzero(keep)), needed - checked)
+        kept = [c[keep][:take] for c in columns]
+        m = margins(*kept)
+        i = int(np.argmin(m))
+        if float(m[i]) < best:
+            best = float(m[i])
+            row = tuple(c[i] for c in kept)
+        checked += take
+    return best, row, checked, drawn
+
+
+def oracle_level_draw(rng, lo, hi, below, batch):
+    span = hi - lo
+
+    def draw():
+        w, v = oracle_sample_batch(rng, batch)
+        u = rng.uniform(size=batch)
+        level = hi - span * u if below else lo + span * u
+        mean = np.einsum("ij,ij->i", w, v)
+        return (mean <= level if below else mean >= level), w, v, level
+
+    return draw
+
+
+def oracle_level_witness(row):
+    if not row:
+        return ()
+    w, v, level = row
+    return (float(level), *scans._witness_atoms(w, v))
+
+
+def oracle_level_scan(name, cfg, batch):
+    below = name == "union-bound"
+    rng = np.random.default_rng(cfg.seed)
+    draw = oracle_level_draw(rng, cfg.range_lo, cfg.range_hi, below, batch)
+    margins = oracle_union_margins if below else oracle_product_margins
+    best, row, checked, drawn = oracle_worst_rows(cfg.random_samples, draw, margins)
+    return scans._certified(
+        name, checked, best, oracle_level_witness(row), cfg.tolerance,
+        scans._config_dict(cfg), {"raw_draws": drawn},
+    )
+
+
+def oracle_pair_filter(w, v, t, u):
+    """One optimum-search pair's candidates, computed over the whole batch."""
+    means = np.einsum("ij,ij->i", w, v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.minimum(t / means, 1.0 / np.maximum(v, 1e-300).max(axis=1))
+    v = v * scale[:, None]
+    means = np.einsum("ij,ij->i", w, v)
+    ents = np.einsum("ij,ij->i", w, H(v))
+    keep = (np.abs(means - t) <= 1e-3) & (np.abs(ents - u) <= 1e-3)
+    return w[keep], v[keep], means[keep], ents[keep]
+
+
+def oracle_optimum_search(cfg, pairs):
+    rng = np.random.default_rng(cfg.seed)
+    best = math.inf
+    best_witness = ()
+    pair_undercut = math.inf
+    qualified = 0
+    for _ in range(pairs):
+        t = float(rng.uniform(0.05, 0.95))
+        u = float((1.0 - rng.uniform()) * binary_entropy(t))
+        cert = joint_entropy_optimum(t, u)
+        w, v = oracle_sample_batch(rng, cfg.random_samples, kmax=3)
+        w2, v2, m2, e2 = oracle_pair_filter(w, v, t, u)
+        if not w2.shape[0]:
+            continue
+        pair = v2[:, :, None] * v2[:, None, :]
+        joints = np.einsum("ni,nj,nij->n", w2, w2, H(pair))
+        qualified += int(w2.shape[0])
+        own_v = np.maximum(inverse_entropy_rate_arr(e2 / m2), m2)
+        own_opt = m2 * m2 * oracle_entropy_of_square_arr(own_v) / (own_v * own_v)
+        margins = joints - (own_opt - 1e-4)
+        i = int(np.argmin(margins))
+        pair_undercut = min(pair_undercut, float(np.min(joints) - (cert.optimum - 1e-4)))
+        if float(margins[i]) < best:
+            best = float(margins[i])
+            best_witness = (t, u, *scans._witness_atoms(w2[i], v2[i]))
+    details = {
+        "pairs": pairs,
+        "qualified_candidates": qualified,
+        "slack": 1e-4,
+        "pair_level_min_margin": pair_undercut,
+    }
+    return scans._certified(
+        "optimum-search", qualified, best, best_witness, 0.0,
+        scans._config_dict(cfg), details,
+    )
+
+
+def oracle_threshold(cfg, batch):
+    rng = np.random.default_rng(cfg.seed)
+    rows = []
+    total = 0
+    global_best = math.inf
+    global_witness = ()
+    for beta in scans._grid(cfg):
+        beta = float(beta)
+        ratio = entropy_of_square(beta) / binary_entropy(beta)
+        vs = np.linspace(beta, 1.0 - 1e-6, 2001)
+        q = beta / vs
+        two_point = q * q * oracle_entropy_of_square_arr(vs) - ratio * q * H(vs)
+        i = int(np.argmin(two_point))
+        row_best = float(two_point[i])
+        vstar = float(vs[i])
+        qstar = beta / vstar
+        row_witness = (
+            beta,
+            (qstar, 1.0 - qstar) if qstar < 1.0 else (1.0,),
+            (vstar, 0.0) if qstar < 1.0 else (vstar,),
+        )
+
+        def draw():
+            w, v = oracle_sample_batch(rng, batch)
+            return np.einsum("ij,ij->i", w, v) >= beta, w, v
+
+        def margins(w, v):
+            return oracle_product_margins(w, v, np.full(w.shape[0], beta))
+
+        sampled, row, got, _ = oracle_worst_rows(cfg.random_samples, draw, margins)
+        if sampled < row_best:
+            row_witness = (beta, *scans._witness_atoms(*row))
+        row_points = vs.size + got
+        total += row_points
+        certified = scans._threshold_margin(row_witness)
+        rows.append({
+            "beta": beta,
+            "min_margin": certified,
+            "points": row_points,
+            "above_golden": beta >= GOLDEN_THRESHOLD - 1e-15,
+        })
+        if certified < global_best:
+            global_best = certified
+            global_witness = row_witness
+    report = make_report(
+        "threshold", total, global_best, global_witness, cfg.tolerance,
+        config=scans._config_dict(cfg), details={"rows": rows},
+    )
+    return replace(report, passed=True)
+
+
+def oracle_bridge_gap(samples, seed, bound, batch):
+    rng = np.random.default_rng(seed)
+
+    def margins(w, v, beta):
+        return np.array([scans._bridge_margin(bound, oracle_level_witness(row))
+                         for row in zip(w, v, beta)])
+
+    best, row, checked, _ = oracle_worst_rows(
+        samples, oracle_level_draw(rng, GOLDEN_THRESHOLD, 1.0, False, batch), margins
+    )
+    return make_report(
+        "bridge-gap", checked, best, oracle_level_witness(row), 0.0,
+        config={"random_samples": samples, "seed": seed}, details={"bound": bound},
+    )
+
+
+def oracle_subset_entropy(cfg, ground_n=4):
+    n_masks = 1 << ground_n
+    masks = np.arange(n_masks)
+    bits = ((masks[:, None] >> np.arange(ground_n)[None, :]) & 1).astype(float)
+    popcount = bits.sum(axis=1)
+    uni = np.bitwise_or.outer(masks, masks)
+    scatter = np.zeros((n_masks, n_masks, n_masks))
+    ii, jj = np.meshgrid(masks, masks, indexing="ij")
+    scatter[ii, jj, uni] = 1.0
+    rng = np.random.default_rng(cfg.seed)
+    batch = 16384
+
+    def draw():
+        raw = rng.exponential(size=(batch, n_masks))
+        style = rng.integers(0, 3, size=batch)
+        raw = np.where((style == 1)[:, None], raw * 3.0 ** -popcount[None, :], raw)
+        keep_mask = rng.uniform(size=(batch, n_masks)) < 0.25
+        keep_mask[:, 0] = True
+        raw = np.where((style == 2)[:, None], raw * keep_mask, raw)
+        probs = raw / raw.sum(axis=1, keepdims=True)
+        alpha = FREQUENCY_BOUND * (1.0 - rng.uniform(size=batch))
+        keep = ((probs @ bits).max(axis=1) <= alpha) & (probs.max(axis=1) < 1.0)
+        return keep, probs, alpha
+
+    def margins(p, a):
+        pun = np.einsum("nab,abm->nm", np.einsum("na,nb->nab", p, p), scatter)
+        ratio = H(a * a) / H(a)
+        return scans._shannon_rows(pun) - ratio * scans._shannon_rows(p)
+
+    best, row, checked, drawn = oracle_worst_rows(cfg.random_samples, draw, margins)
+    witness = ()
+    if row:
+        p, a = row
+        sel = p > 0.0
+        witness = (float(a), tuple(float(x) for x in p[sel]),
+                   tuple(int(m) for m in masks[sel]))
+    return scans._certified(
+        "subset-entropy", checked, best, witness, cfg.tolerance,
+        {"random_samples": cfg.random_samples, "seed": cfg.seed},
+        {"raw_draws": drawn, "ground_n": ground_n},
+    )
+
+
+# ----------------------------------------------------------------------
+# tests
+# ----------------------------------------------------------------------
+
+SEEDS = [0, 42, 2024]
+
+
+@pytest.fixture(params=[None, 5, 7], ids=["default", "blocks5", "blocks7"])
+def blocks(request, monkeypatch):
+    """Default blocks, or kernel and row blocks of 5 or 7 with 1,000-row
+    batches, so that every block loop meets its edges."""
+    if request.param is None:
+        return scans._BATCH
+    monkeypatch.setattr(kernel, "_BLOCK", request.param)
+    monkeypatch.setattr(scans, "_ROWS", request.param)
+    monkeypatch.setattr(scans, "_BATCH", 1000)
+    return 1000
+
+
+def report_text(report) -> str:
+    return json.dumps(report_to_json(report))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kmax, m", [(6, 65536), (3, 20_000), (6, 4097), (3, 1), (6, 0)])
+def test_sample_batch_is_the_oracle(seed, kmax, m):
+    counts, w, v = scans._sample_batch(np.random.default_rng(seed), m, kmax)
+    want_w, want_v = oracle_sample_batch(np.random.default_rng(seed), m, kmax)
+    assert_same_bits(w, want_w)
+    assert_same_bits(v, want_v)
+    assert np.array_equal(counts, np.random.default_rng(seed).integers(1, kmax + 1, size=m))
+    assert np.array_equal(np.count_nonzero(v, axis=1) <= counts, np.ones(m, bool))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("below", [True, False], ids=["union", "product"])
+def test_kept_level_rows_and_margins_are_the_oracle(seed, below, blocks):
+    lo, hi = (0.0, FREQUENCY_BOUND) if below else (GOLDEN_THRESHOLD, 1.0)
+    draw = scans._draw_levels(np.random.default_rng(seed), lo, hi, below)
+    want_draw = oracle_level_draw(np.random.default_rng(seed), lo, hi, below, blocks)
+    for _ in range(2):
+        drawn, counts, w, v, level = draw()
+        keep, ow, ov, olevel = want_draw()
+        assert drawn == keep.size == blocks
+        assert counts.size and np.all(np.count_nonzero(w, axis=1) <= counts)
+        for got, want in ((w, ow[keep]), (v, ov[keep]), (level, olevel[keep])):
+            assert_same_bits(got, want)
+        if below:
+            got = scans._union_margins_arr(counts, w, v, level)
+            want = oracle_union_margins(ow[keep], ov[keep], olevel[keep])
+        else:
+            got = scans._product_margins_arr(counts, w, v, level)
+            want = oracle_product_margins(ow[keep], ov[keep], olevel[keep])
+        assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_optimum_pair_candidates_are_the_oracle(seed, blocks):
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    found = 0
+    for _ in range(4):
+        t = float(rng.uniform(0.05, 0.95))
+        u = float((1.0 - rng.uniform()) * binary_entropy(t))
+        oracle_rng.uniform(size=2)
+        _, w, v = scans._sample_batch(rng, 6000, kmax=3)
+        got = scans._matching_candidates(w, v, t, u)
+        want = oracle_pair_filter(*oracle_sample_batch(oracle_rng, 6000, kmax=3), t, u)
+        for g, o in zip(got, want):
+            assert_same_bits(g, o)
+        found += got[0].shape[0]
+    assert found > 0
+
+
+SMALL = {
+    "union-bound": 3000,
+    "product-bound": 3000,
+    "threshold": 500,
+    "optimum-search": 4000,
+    "subset-entropy": 1500,
+}
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_sampled_reports_are_the_oracle(name, seed, blocks):
+    cfg = replace(CHECKS[name].cfg, seed=seed, random_samples=SMALL[name])
+    if name == "threshold":
+        cfg = replace(cfg, grid_step=0.05)
+        got, want = scans.threshold_exploration(cfg), oracle_threshold(cfg, blocks)
+    elif name == "optimum-search":
+        got = scans.optimum_search_scan(cfg, pairs=8)
+        want = oracle_optimum_search(cfg, pairs=8)
+        assert got.points_checked > 0
+    elif name == "subset-entropy":
+        got, want = scans.subset_entropy_scan(cfg), oracle_subset_entropy(cfg)
+    else:
+        got, want = scans.run_named_scan(name, cfg), oracle_level_scan(name, cfg, blocks)
+    assert report_text(got) == report_text(want)
+    assert scans.reevaluate_witness(got) == got.min_margin
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_bridge_gap_report_is_the_oracle(seed, blocks):
+    got = scans.bridge_gap_scan(samples=300, seed=seed)
+    want = oracle_bridge_gap(300, seed, scans.BRIDGE_TOL, blocks)
+    assert report_text(got) == report_text(want)

@@ -409,7 +409,7 @@ class TestScanEngines:
         def draw():
             keep, vals = next(batches)
             tags = np.array([next(rows) for _ in vals])
-            return keep, vals, tags
+            return keep.size, vals[keep], tags[keep]
 
         best, row, checked, drawn = _worst_rows(6, draw, lambda vals, tags: vals)
         assert (best, row[1]) == (1.0, 6)
