@@ -32,7 +32,7 @@ from .distribution import (
     DistributionError,
     load_distribution,
     dump_distribution,
-    reduce_support,
+    reduce_with_merges,
 )
 from .kernel import FREQUENCY_BOUND, DomainError
 from .report import (
@@ -85,9 +85,10 @@ def _write_report_json(args, subcommand: str, stem: str, doc: dict) -> Path:
 
 
 def _write_manifest(
-    args, subcommand: str, stem: str, started: float, report_path: Path,
-    checks: list[dict] | None = None,
+    args, subcommand: str, stem: str, started: float, report_path: Path, **fields,
 ) -> None:
+    """Write the run's manifest; ``fields`` (per-check timings, a reduction's
+    time and merges) are added to it as they are."""
     params = {
         k: v for k, v in sorted(vars(args).items())
         if k not in ("func", "out") and v is not None and not callable(v)
@@ -100,8 +101,7 @@ def _write_manifest(
         "finished": _utc(time.time()),
         "report_path": str(report_path),
     }
-    if checks is not None:
-        manifest["checks"] = checks
+    manifest.update(fields)
     path = _report_dir(args, subcommand) / f"{stem}-{args.seed}.manifest.json"
     _write_atomic(path, _json_text(manifest))
 
@@ -193,7 +193,9 @@ def cmd_verify_all(args) -> int:
 def cmd_reduce(args) -> int:
     started = time.time()
     d = load_distribution(args.input)
-    reduced = reduce_support(d)
+    t0 = time.perf_counter()
+    reduced, merges = reduce_with_merges(d)
+    elapsed = time.perf_counter() - t0
     dump_distribution(reduced, args.output)
     t = d.mean()
     u = d.expected_entropy()
@@ -218,7 +220,8 @@ def cmd_reduce(args) -> int:
         f"entropy={sidecar['entropy_residual']:.3e}"
     )
     stem = Path(str(args.output)).stem or "reduce"
-    _write_manifest(args, "reduce", stem, started, sidecar_path)
+    _write_manifest(args, "reduce", stem, started, sidecar_path,
+                    elapsed_s=elapsed, merges=merges)
     return 0
 
 

@@ -8,6 +8,13 @@ merge reduces any distribution to at most one non-zero atom, and the
 reduced endpoint coincides with the closed-form optimizer returned by
 ``joint_entropy_optimum``.
 
+The reduction keeps its atoms in two lists sized once.  A merge costs one
+``merge_atoms`` call, one ``math.fsum`` over the live weights and, on the
+steps whose total is not exactly 1.0, one in-place division of them: the
+same bits the constructor would give, without rebuilding the distribution.
+A merged atom that would snap to zero or pool with its neighbour goes
+through the constructor, which stays the one definition of both.
+
 Numerical contracts (shared with the test suite):
 
 * construction re-normalizes weights whose sum is within 1e-9 of 1;
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -42,6 +50,7 @@ __all__ = [
     "squared_merge_margin",
     "reduce_steps",
     "reduce_support",
+    "reduce_with_merges",
     "joint_entropy_optimum",
     "random_distribution",
     "load_distribution",
@@ -66,6 +75,12 @@ class FeasibilityError(DistributionError):
     """A (mean, entropy) target outside the feasible region."""
 
 
+def _checked_total(total: float) -> float:
+    if abs(total - 1.0) > WEIGHT_TOL:
+        raise DistributionError(f"weights must sum to 1 within {WEIGHT_TOL}, got {total!r}")
+    return total
+
+
 @dataclass(frozen=True)
 class FiniteDistribution:
     """Immutable finite distribution: atoms ``(weight, value)`` sorted by value."""
@@ -85,9 +100,7 @@ class FiniteDistribution:
                 pairs.append((v, w))
         if not pairs:
             raise DistributionError("a distribution needs at least one atom with positive weight")
-        total = math.fsum(w for _, w in pairs)
-        if abs(total - 1.0) > WEIGHT_TOL:
-            raise DistributionError(f"weights must sum to 1 within {WEIGHT_TOL}, got {total!r}")
+        total = _checked_total(math.fsum(w for _, w in pairs))
         pairs.sort()
         merged: list[list[float]] = []
         for v, w in pairs:
@@ -104,6 +117,13 @@ class FiniteDistribution:
             tuple((w / total, v) for v, w in merged),
         )
 
+    @classmethod
+    def _trusted(cls, atoms: tuple[tuple[float, float], ...]) -> "FiniteDistribution":
+        """Wrap atoms that are already validated, sorted, coalesced and normalized."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "atoms", atoms)
+        return d
+
     def mean(self) -> float:
         """Expected value of the atom positions."""
         return math.fsum(w * v for w, v in self.atoms)
@@ -113,13 +133,21 @@ class FiniteDistribution:
         return math.fsum(w * binary_entropy(v) for w, v in self.atoms)
 
     def expected_joint_entropy(self) -> float:
-        """Full double sum over independent pairs: sum of w_i w_j H(v_i * v_j)."""
+        """Full double sum over independent pairs: sum of w_i w_j H(v_i * v_j).
+
+        Each unordered pair is evaluated once and doubled.  The (j, i) term
+        has the same bits as the (i, j) term and doubling is exact, so the
+        correctly rounded ``math.fsum`` equals that of the full double sum.
+        """
         atoms = self.atoms
-        return math.fsum(
-            wi * wj * binary_entropy(vi * vj)
-            for wi, vi in atoms
-            for wj, vj in atoms
-        )
+        return math.fsum(chain(
+            (w * w * binary_entropy(v * v) for w, v in atoms),
+            (
+                2.0 * (wi * wj * binary_entropy(vi * vj))
+                for i, (wi, vi) in enumerate(atoms)
+                for wj, vj in atoms[i + 1:]
+            ),
+        ))
 
     def nonzero_atoms(self) -> tuple[tuple[float, float], ...]:
         return tuple((w, v) for w, v in self.atoms if v > 0.0)
@@ -242,37 +270,111 @@ def squared_merge_margin(p1: float, x1: float, p2: float, x2: float) -> float:
     return lhs - r.q * r.q * entropy_of_square(r.y)
 
 
+class _Reduction:
+    """The loop behind ``reduce_steps`` and ``reduce_support``.
+
+    ``ws`` and ``vs`` are sized once.  From index ``s`` on they hold the
+    non-zero atoms in ascending value order, and ``ws[s - 1]`` holds the
+    mass at zero (0.0 when there is none), all as the constructor would
+    leave them.
+    """
+
+    def __init__(self, d: FiniteDistribution) -> None:
+        nz = d.nonzero_atoms()
+        self.ws = [d.zero_mass(), *(w for w, _ in nz)]
+        self.vs = [0.0, *(v for _, v in nz)]
+        self.s = 1
+        self.merges = 0
+
+    def merge(self) -> str | None:
+        """Merge the two least non-zero atoms, or return None when at most
+        one is left.  Returns how the step ended: ``"rebuilt"`` through the
+        constructor, ``"renormalized"`` by the weight total, or ``"exact"``
+        when that total was exactly 1.0."""
+        ws, vs, s = self.ws, self.vs, self.s
+        n = len(ws)
+        if n - s <= 1:
+            return None
+        self.merges += 1
+        r = merge_atoms(ws[s], vs[s], ws[s + 1], vs[s + 1])
+        q, y = r.q, r.y
+        zmass = ws[s - 1] + r.residual_at_zero
+        # y lies between the two merged values, so it is the new least
+        # non-zero atom unless it snaps to zero or pools with the next one.
+        if y <= VALUE_SNAP or (n - s > 2 and vs[s + 2] - y <= VALUE_SNAP):
+            atoms = [(q, y), *zip(ws[s + 2:], vs[s + 2:])]
+            if zmass > 0.0:
+                atoms.append((zmass, 0.0))
+            self._load(FiniteDistribution(atoms))
+            return "rebuilt"
+        s += 1
+        self.s = s
+        ws[s - 1] = zmass
+        ws[s] = q
+        vs[s] = y
+        total = math.fsum(islice(ws, s - 1, None))
+        if total == 1.0:
+            return "exact"
+        _checked_total(total)
+        for i in range(s - 1, n):
+            ws[i] /= total
+        return "renormalized"
+
+    def _load(self, d: FiniteDistribution) -> None:
+        # d has fewer non-zero atoms than the loop held, so they fit at the end
+        nz = d.nonzero_atoms()
+        s = len(self.ws) - len(nz)
+        self.ws[s - 1] = d.zero_mass()
+        self.ws[s:] = [w for w, _ in nz]
+        self.vs[s:] = [v for _, v in nz]
+        self.s = s
+
+    def distribution(self) -> FiniteDistribution:
+        s = self.s
+        atoms = tuple(zip(self.ws[s:], self.vs[s:]))
+        if self.ws[s - 1] > 0.0:
+            atoms = ((self.ws[s - 1], 0.0), *atoms)
+        return FiniteDistribution._trusted(atoms)
+
+
 def reduce_steps(d: FiniteDistribution) -> Iterator[FiniteDistribution]:
     """Yield each intermediate of the reduction, ending with the fixed point.
 
     Every step merges the two smallest non-zero values, so the sequence has
     non-increasing expected joint entropy while mean and expected entropy
-    stay fixed (to pipeline tolerance).
+    stay fixed (to pipeline tolerance).  Each step is bitwise the
+    distribution the constructor would build from the merged atom, the
+    untouched atoms and the mass at zero, but is not rebuilt: the merged
+    value y lies between the two values merged, so it is the new least
+    non-zero atom, and the only things the constructor could change are
+    snapping y to zero (y <= VALUE_SNAP) or pooling it with the next value
+    (a gap <= VALUE_SNAP).  Those steps, and only those, go through the
+    constructor.  The rest cost one ``merge_atoms``, one ``math.fsum`` over
+    the k live weights and, when that total is not exactly 1.0, an
+    in-place division of them, plus the O(k) tuple of the yielded step.
     """
-    cur = d
-    while True:
-        nz = cur.nonzero_atoms()
-        if len(nz) <= 1:
-            return
-        (p1, x1), (p2, x2) = nz[0], nz[1]
-        r = merge_atoms(p1, x1, p2, x2)
-        zmass = cur.zero_mass() + r.residual_at_zero
-        atoms = [(r.q, r.y), *nz[2:]]
-        if zmass > 0.0:
-            atoms.append((zmass, 0.0))
-        cur = FiniteDistribution(atoms)
-        yield cur
+    red = _Reduction(d)
+    while red.merge():
+        yield red.distribution()
+
+
+def reduce_with_merges(d: FiniteDistribution) -> tuple[FiniteDistribution, int]:
+    """``reduce_support(d)`` and the number of merges it took."""
+    red = _Reduction(d)
+    while red.merge():
+        pass
+    return (red.distribution() if red.merges else d), red.merges
 
 
 def reduce_support(d: FiniteDistribution) -> FiniteDistribution:
     """Reduce ``d`` to at most one non-zero atom (plus mass at zero).
 
-    Idempotent: a distribution that is already reduced is returned as is.
+    Runs the loop of ``reduce_steps`` without building the intermediates,
+    so k atoms cost k - 1 merges of O(k) float work each and one
+    distribution at the end.  Idempotent: a distribution that is already
+    reduced is returned as is.
     """
-    out = d
-    for out in reduce_steps(d):
-        pass
-    return out
+    return reduce_with_merges(d)[0]
 
 
 @dataclass(frozen=True)

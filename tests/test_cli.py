@@ -2,11 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import entroset
 from entroset.cli import main
-from entroset.distribution import FiniteDistribution, load_distribution
+from entroset.distribution import FiniteDistribution, load_distribution, reduce_support
 from entroset.kernel import binary_entropy
 
 # Frozen two-point merge oracle, same source as in test_distribution.
@@ -218,8 +224,6 @@ class TestReduce:
         assert len(reduced.nonzero_atoms()) == 1
 
     def test_fifty_atom_residuals(self, tmp_path):
-        import numpy as np
-
         rng = np.random.default_rng(42)
         w = rng.exponential(size=50)
         w /= w.sum()
@@ -239,6 +243,24 @@ class TestReduce:
         dst = tmp_path / "red_out.txt"
         assert main(["reduce", src, str(dst), "--out", str(tmp_path / "r")]) == 0
         assert load_distribution(dst).atoms == d.atoms
+        manifest = json.loads((tmp_path / "r" / "reduce" / "red_out-42.manifest.json").read_text())
+        assert manifest["merges"] == 0
+
+    def test_manifest_says_what_it_did_and_how_long_it_took(self, tmp_path):
+        rng = np.random.default_rng(7)
+        w = rng.exponential(size=30)
+        w /= w.sum()
+        src = write(tmp_path / "in.txt", "".join(
+            f"{float(a)!r} {float(b)!r}\n" for a, b in zip(w, rng.uniform(size=30))))
+        dst = tmp_path / "out.txt"
+        assert main(["reduce", src, str(dst), "--out", str(tmp_path / "r")]) == 0
+        manifest = json.loads((tmp_path / "r" / "reduce" / "out-42.manifest.json").read_text())
+        assert manifest["merges"] == 29
+        assert manifest["elapsed_s"] >= 0.0
+        assert dst.read_text() == reduce_support(load_distribution(src)).to_text()
+        sidecar = json.loads((tmp_path / "out.txt.json").read_text())
+        assert set(sidecar) == {"t", "u", "v", "q", "zero_mass", "mean_residual",
+                                "entropy_residual", "atoms_in", "atoms_out"}
 
     def test_parse_error(self, tmp_path):
         src = write(tmp_path / "bad.txt", "0.5 zebra\n0.5 0.2\n")
@@ -248,6 +270,30 @@ class TestReduce:
     def test_missing_file(self, tmp_path):
         assert main(["reduce", str(tmp_path / "nope.txt"),
                      str(tmp_path / "o.txt"), "--out", str(tmp_path / "r")]) == 2
+
+
+class TestStatedLimits:
+    """A reduction of thousands of atoms works within seconds."""
+
+    def test_reduce_five_thousand_atoms(self, tmp_path):
+        rng = np.random.default_rng(5000)
+        w = rng.exponential(size=5000)
+        w /= w.sum()
+        src = write(tmp_path / "big.txt", "".join(
+            f"{float(a)!r} {float(b)!r}\n" for a, b in zip(w, rng.uniform(size=5000))))
+        root = Path(entroset.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "entroset.cli", "reduce", src, str(tmp_path / "out.txt"),
+             "--out", str(tmp_path / "r")],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert "reduced 5000 atoms" in proc.stdout
+        sidecar = json.loads((tmp_path / "out.txt.json").read_text())
+        assert sidecar["mean_residual"] < 1e-8
+        assert sidecar["entropy_residual"] < 1e-8
 
 
 class TestFamily:
