@@ -161,16 +161,12 @@ def _check_timing(r: ScanReport, elapsed: float) -> dict:
 
 def cmd_verify_all(args) -> int:
     started = time.time()
+    runs = [(check.name, _verify_cfg(args, check)) for check in _scans.CHECKS.values()
+            if args.only in (None, check.group)]
     reports = []
     timings = []
-    for check in _scans.CHECKS.values():
-        if args.only not in (None, check.group):
-            continue
-        t0 = time.perf_counter()
-        r = _scans.run_named_scan(
-            check.name, _verify_cfg(args, check), alpha=args.alpha, tol=args.tol
-        )
-        timings.append(_check_timing(r, time.perf_counter() - t0))
+    for r, elapsed in _scans.run_named_scans(runs, alpha=args.alpha, tol=args.tol):
+        timings.append(_check_timing(r, elapsed))
         reports.append(r)
         _print_report_line(r)
         _write_report_json(args, "verify-all", r.name, report_to_json(r))
@@ -260,9 +256,8 @@ def cmd_scan(args) -> int:
             lo, hi, step = args.beta
             kw.update(range_lo=lo, range_hi=hi, grid_step=step)
         cfg = replace(cfg, **kw)
-    t0 = time.perf_counter()
-    report = _scans.run_named_scan(name, cfg, alpha=args.alpha, tol=args.tol)
-    timing = _check_timing(report, time.perf_counter() - t0)
+    [(report, elapsed)] = _scans.run_named_scans([(name, cfg)], alpha=args.alpha, tol=args.tol)
+    timing = _check_timing(report, elapsed)
     _print_report_line(report)
     report_path = _write_report_json(args, "scan", name, report_to_json(report))
     if name == "threshold":

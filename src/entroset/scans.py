@@ -53,8 +53,9 @@ Witness layouts by scan name:
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -120,6 +121,7 @@ __all__ = [
     "scan_tail_rate",
     "scan_union_bound",
     "scan_product_bound",
+    "level_scans",
     "bridge_gap_scan",
     "threshold_exploration",
     "merge_property_scan",
@@ -132,6 +134,7 @@ __all__ = [
     "uniform_bridge_scan",
     "reevaluate_witness",
     "run_named_scan",
+    "run_named_scans",
     "Check",
     "CHECKS",
     "SCAN_NAMES",
@@ -560,38 +563,59 @@ def _certified(
                        config=config, details=details)
 
 
-def _worst_rows(
-    needed: int,
-    draw: Callable[[], tuple],
-    margins: Callable[..., np.ndarray],
-) -> tuple[float, tuple, int, int]:
-    """Rejection-sample rows until ``needed`` are kept, tracking the worst.
+@dataclass(frozen=True)
+class _Consumer:
+    """One reader of a sampled stream in :func:`_worst_rows`.
 
-    ``draw()`` returns one batch as ``(drawn, *columns)``: the number of
-    rows drawn, then arrays whose first axis runs over the rows kept, in
-    the order drawn.  ``margins(*columns)`` gives the margin of each kept
-    row.  Returns ``(best, row, checked, drawn)``: the least margin, that
-    row's entry in each column (``()`` when nothing was kept), the rows
-    checked and the rows drawn.  Ties go to the row drawn first.
+    It keeps ``needed`` rows.  ``select(*batch)`` gives the rows of a drawn
+    batch it keeps, as columns whose first axis runs over those rows in the
+    order drawn; None keeps the batch's columns as they are.
+    ``margins(*columns)`` gives the margin of each kept row.
     """
-    best = math.inf
-    row: tuple = ()
-    checked = 0
-    drawn = 0
-    while checked < needed:
-        batch_drawn, *columns = draw()
-        drawn += batch_drawn
-        if not len(columns[0]):
-            continue
-        take = min(len(columns[0]), needed - checked)
-        kept = [c[:take] for c in columns]
-        m = margins(*kept)
-        i = int(np.argmin(m))
-        if float(m[i]) < best:
-            best = float(m[i])
-            row = tuple(c[i] for c in kept)
-        checked += take
-    return best, row, checked, drawn
+
+    needed: int
+    margins: Callable[..., np.ndarray]
+    select: Callable[..., tuple] | None = None
+
+
+def _worst_rows(
+    draw: Callable[[], tuple], consumers: list[_Consumer]
+) -> list[tuple[float, tuple, int, int]]:
+    """Rejection-sample rows for each consumer until it has kept its
+    ``needed``, tracking the worst.
+
+    ``draw()`` returns one batch as ``(drawn, *batch)``: the number of rows
+    drawn, then the batch's columns.  Each batch is drawn once and read by
+    every consumer still short of rows, so consumers of one stream share
+    its draws: union-bound and product-bound read the level stream of
+    :func:`_draw_levels` this way.  A consumer that has its rows reads no
+    more batches, and its figures are those it would have alone.
+
+    Returns ``(best, row, checked, drawn)`` per consumer: the least margin,
+    that row's entry in each column (``()`` when nothing was kept), the
+    rows checked and the rows drawn while it read.  Ties go to the row
+    drawn first.
+    """
+    # per consumer: best, row, checked, drawn
+    tallies = [[math.inf, (), 0, 0] for _ in consumers]
+    while True:
+        reading = [(c, t) for c, t in zip(consumers, tallies) if t[2] < c.needed]
+        if not reading:
+            return [tuple(t) for t in tallies]
+        batch_drawn, *batch = draw()
+        for c, t in reading:
+            t[3] += batch_drawn
+            columns = batch if c.select is None else c.select(*batch)
+            if not len(columns[0]):
+                continue
+            take = min(len(columns[0]), c.needed - t[2])
+            kept = [col[:take] for col in columns]
+            m = c.margins(*kept)
+            i = int(np.argmin(m))
+            if float(m[i]) < t[0]:
+                t[0] = float(m[i])
+                t[1] = tuple(col[i] for col in kept)
+            t[2] += take
 
 
 # ----------------------------------------------------------------------
@@ -670,29 +694,51 @@ def scan_tail_rate(cfg: ScanConfig) -> ScanReport:
 # randomized expectation scans
 # ----------------------------------------------------------------------
 
-def _sample_batch(rng: np.random.Generator, m: int, kmax: int = 6):
-    """``(counts, weights, values)`` for m random distributions of 1 to kmax
-    atoms: the atom counts, and weights and values zero-padded to kmax.
+def _draw_rows(rng: np.random.Generator, m: int, kmax: int):
+    """The raw rows of m random distributions of 1 to kmax atoms:
+    ``(counts, weights, values)``, with kmax weights and values per row.
 
-    The three RNG calls come first, each for the whole batch and in this
+    The three RNG calls are made each for the whole batch and in this
     order: counts, exponential weights, uniform values.  That order and
-    those shapes are part of every sampled report's byte-stability.  The
-    weights are normalized in row blocks; their sums are column-wise adds,
-    the same bits as ``sum(axis=1)``, which adds in order below 8 columns.
+    those shapes are part of every sampled report's byte-stability.
     """
     counts = rng.integers(1, kmax + 1, size=m)
     weights = rng.exponential(size=(m, kmax))
-    values = rng.uniform(size=(m, kmax))
+    values = rng.random(size=(m, kmax))
+    return counts, weights, values
+
+
+def _finish_rows(counts, w, v) -> np.ndarray:
+    """Zero the padded atoms of raw rows and normalize their weights, in
+    place and in row blocks; returns each row's mean.
+
+    The weight sums are column-wise adds, the same bits as
+    ``sum(axis=1)``, which adds in order below 8 columns.  Every row is
+    finished on its own, so finishing some rows of a batch gives them the
+    bits they get when the whole batch is finished.
+    """
+    kmax = w.shape[1]
     # row k of the table is the live-atom mask, as 0/1, of a k-atom row
     table = (np.arange(kmax) < np.arange(kmax + 1)[:, None]).astype(float)
-    for b in _row_blocks(m):
-        w = weights[b]
-        v = values[b]
+    means = np.empty(counts.size)
+    for b in _row_blocks(counts.size):
+        wb = w[b]
+        vb = v[b]
         live = np.take(table, counts[b], axis=0)
-        w *= live
-        v *= live
-        w /= _column_sum(w)[:, None]
-    return counts, weights, values
+        wb *= live
+        vb *= live
+        wb /= _column_sum(wb)[:, None]
+        means[b] = np.einsum("ij,ij->i", wb, vb)
+    return means
+
+
+def _sample_batch(rng: np.random.Generator, m: int, kmax: int = 6):
+    """``(counts, weights, values, means)`` for m random distributions of 1
+    to kmax atoms: the atom counts, weights and values zero-padded to kmax,
+    and the means.  :func:`_draw_rows` draws them and
+    :func:`_finish_rows` finishes them."""
+    counts, weights, values = _draw_rows(rng, m, kmax)
+    return counts, weights, values, _finish_rows(counts, weights, values)
 
 
 def _row_blocks(n: int) -> list[slice]:
@@ -726,30 +772,37 @@ def _witness_atoms(w: np.ndarray, v: np.ndarray) -> tuple[tuple, tuple]:
     )
 
 
-def _rows_by_mean(counts, w, v, level, below: bool) -> tuple:
-    """The rows of a batch whose mean is at most (``below``) or at least
-    their ``level``, as ``(counts, w, v, level)`` in the order drawn."""
-    parts = []
-    for b in _row_blocks(counts.size):
-        mean = np.einsum("ij,ij->i", w[b], v[b])
-        keep = np.flatnonzero(mean <= level[b] if below else mean >= level[b])
-        parts.append(tuple(np.take(c[b], keep, axis=0) for c in (counts, w, v, level)))
-    return tuple(np.concatenate(c) for c in zip(*parts))
+def _draw_levels(rng: np.random.Generator):
+    """The level stream, as a ``draw`` for :func:`_worst_rows`: batches of
+    ``(counts, w, v, mean, u)``, with one uniform draw u per row.
 
-
-def _draw_levels(rng: np.random.Generator, lo: float, hi: float, below: bool):
-    """A ``draw`` for :func:`_worst_rows`: ``(counts, w, v, level)`` rows
-    with levels drawn from (lo, hi] and kept where the mean is at most the
-    level (``below``), or from [lo, hi) and kept where the mean reaches it."""
-    span = hi - lo
+    union-bound and product-bound read this one stream.  Each maps the
+    shared u to a level of its own (:func:`_level_select`), so at equal
+    seeds one pass of :func:`_worst_rows` serves both, and verify-all
+    draws each batch once for the two.  A sampler that changes this
+    stream must keep one shared u per row, or drop the sharing on purpose.
+    """
 
     def draw():
-        counts, w, v = _sample_batch(rng, _BATCH)
-        u = rng.uniform(size=_BATCH)
-        level = hi - span * u if below else lo + span * u
-        return _BATCH, *_rows_by_mean(counts, w, v, level, below)
+        counts, w, v, mean = _sample_batch(rng, _BATCH)
+        return _BATCH, counts, w, v, mean, rng.random(size=_BATCH)
 
     return draw
+
+
+def _level_select(lo: float, hi: float, below: bool):
+    """A consumer's ``select`` on the level stream: the rows, as
+    ``(counts, w, v, level)`` in the order drawn, whose mean is at most
+    their level, taken from (lo, hi] (``below``), or at least their level,
+    taken from [lo, hi)."""
+    span = hi - lo
+
+    def select(counts, w, v, mean, u):
+        level = hi - span * u if below else lo + span * u
+        keep = np.flatnonzero(mean <= level if below else mean >= level)
+        return tuple(np.take(c, keep, axis=0) for c in (counts, w, v, level))
+
+    return select
 
 
 def _union_pairs(v: np.ndarray) -> np.ndarray:
@@ -803,13 +856,45 @@ def _level_witness(row: tuple) -> tuple:
     return (float(level), *_witness_atoms(w, v))
 
 
-def _level_scan(name: str, cfg: ScanConfig, draw, margins) -> ScanReport:
-    """Report the worst of ``cfg.random_samples`` kept level rows."""
-    best, row, checked, drawn = _worst_rows(cfg.random_samples, draw, margins)
-    return _certified(
-        name, checked, best, _level_witness(row), cfg.tolerance,
-        _config_dict(cfg), {"raw_draws": drawn},
-    )
+def _union_consumer(cfg: ScanConfig) -> _Consumer:
+    if not (0.0 <= cfg.range_lo < cfg.range_hi <= FREQUENCY_BOUND + 1e-15):
+        raise PreconditionError(
+            f"alpha range must sit inside (0, {FREQUENCY_BOUND}]"
+        )
+    select = _level_select(cfg.range_lo, cfg.range_hi, below=True)
+    return _Consumer(cfg.random_samples, _union_margins_arr, select)
+
+
+def _product_consumer(cfg: ScanConfig) -> _Consumer:
+    if not (GOLDEN_THRESHOLD - 1e-15 <= cfg.range_lo < cfg.range_hi <= 1.0):
+        raise PreconditionError(
+            f"beta range must sit inside [{GOLDEN_THRESHOLD}, 1)"
+        )
+    select = _level_select(cfg.range_lo, cfg.range_hi, below=False)
+    return _Consumer(cfg.random_samples, _product_margins_arr, select)
+
+
+#: The checks that read the level stream, each with its consumer.
+_LEVEL_CHECKS = {"union-bound": _union_consumer, "product-bound": _product_consumer}
+
+
+def level_scans(runs: list[tuple[str, ScanConfig]]) -> list[ScanReport]:
+    """The reports of level checks that read one level stream.
+
+    ``runs`` lists ``(name, cfg)`` pairs of union-bound and product-bound
+    with one seed.  One pass draws each batch once for all of them; every
+    report is the one its check makes alone, byte for byte.
+    """
+    if len({cfg.seed for _, cfg in runs}) != 1:
+        raise ValueError("the level checks share a stream only at one seed")
+    consumers = [_LEVEL_CHECKS[name](cfg) for name, cfg in runs]
+    rng = np.random.default_rng(runs[0][1].seed)
+    tallies = _worst_rows(_draw_levels(rng), consumers)
+    return [
+        _certified(name, checked, best, _level_witness(row), cfg.tolerance,
+                   _config_dict(cfg), {"raw_draws": drawn})
+        for (name, cfg), (best, row, checked, drawn) in zip(runs, tallies)
+    ]
 
 
 def scan_union_bound(cfg: ScanConfig) -> ScanReport:
@@ -817,13 +902,7 @@ def scan_union_bound(cfg: ScanConfig) -> ScanReport:
 
     Levels are drawn from (range_lo, range_hi].
     """
-    if not (0.0 <= cfg.range_lo < cfg.range_hi <= FREQUENCY_BOUND + 1e-15):
-        raise PreconditionError(
-            f"alpha range must sit inside (0, {FREQUENCY_BOUND}]"
-        )
-    rng = np.random.default_rng(cfg.seed)
-    draw = _draw_levels(rng, cfg.range_lo, cfg.range_hi, below=True)
-    return _level_scan("union-bound", cfg, draw, _union_margins_arr)
+    return level_scans([("union-bound", cfg)])[0]
 
 
 def scan_product_bound(cfg: ScanConfig) -> ScanReport:
@@ -831,13 +910,7 @@ def scan_product_bound(cfg: ScanConfig) -> ScanReport:
 
     Levels are drawn from [range_lo, range_hi).
     """
-    if not (GOLDEN_THRESHOLD - 1e-15 <= cfg.range_lo < cfg.range_hi <= 1.0):
-        raise PreconditionError(
-            f"beta range must sit inside [{GOLDEN_THRESHOLD}, 1)"
-        )
-    rng = np.random.default_rng(cfg.seed)
-    draw = _draw_levels(rng, cfg.range_lo, cfg.range_hi, below=False)
-    return _level_scan("product-bound", cfg, draw, _product_margins_arr)
+    return level_scans([("product-bound", cfg)])[0]
 
 
 def _bridge_margin(bound: float, witness: tuple) -> float:
@@ -860,8 +933,9 @@ def bridge_gap_scan(
         return np.array([_bridge_margin(bound, _level_witness(row))
                          for row in zip(*columns)])
 
-    best, row, checked, _ = _worst_rows(
-        samples, _draw_levels(rng, GOLDEN_THRESHOLD, 1.0, below=False), margins
+    select = _level_select(GOLDEN_THRESHOLD, 1.0, below=False)
+    [(best, row, checked, _)] = _worst_rows(
+        _draw_levels(rng), [_Consumer(samples, margins, select)]
     )
     return make_report(
         "bridge-gap", checked, best, _level_witness(row), 0.0,
@@ -907,13 +981,14 @@ def threshold_exploration(cfg: ScanConfig) -> ScanReport:
             (vstar, 0.0) if qstar < 1.0 else (vstar,),
         )
 
-        def draw():
-            counts, w, v = _sample_batch(rng, _BATCH)
-            level = np.full(_BATCH, beta)
-            return _BATCH, *_rows_by_mean(counts, w, v, level, below=False)
+        def select(counts, w, v, mean):
+            keep = np.flatnonzero(mean >= beta)
+            rows = (np.take(c, keep, axis=0) for c in (counts, w, v))
+            return (*rows, np.full(keep.size, beta))
 
-        sampled, row, got, _ = _worst_rows(
-            cfg.random_samples, draw, _product_margins_arr
+        [(sampled, row, got, _)] = _worst_rows(
+            lambda: (_BATCH, *_sample_batch(rng, _BATCH)),
+            [_Consumer(cfg.random_samples, _product_margins_arr, select)],
         )
         if sampled < row_best:
             row_witness = _level_witness(row)
@@ -954,8 +1029,8 @@ def merge_property_scan(cfg: ScanConfig) -> ScanReport:
     """
     n = cfg.random_samples
     rng = np.random.default_rng(cfg.seed)
-    p1 = 0.5 * (1.0 - rng.uniform(size=n))
-    p2 = 0.5 * (1.0 - rng.uniform(size=n))
+    p1 = 0.5 * (1.0 - rng.random(size=n))
+    p2 = 0.5 * (1.0 - rng.random(size=n))
     x1 = rng.uniform(1e-12, 1.0, size=n)
     x2 = rng.uniform(1e-12, 1.0, size=n)
     ent = p1 * binary_entropy_arr(x1) + p2 * binary_entropy_arr(x2)
@@ -1057,13 +1132,66 @@ def _matching_candidates(w, v, t: float, u: float) -> tuple:
     return tuple(np.concatenate(c) for c in zip(*parts))
 
 
+#: Slack the optimum-search screen adds to both matching windows.  Its
+#: sums differ from those of the exact route by a few ulps at most.
+_SCREEN_GUARD = 1e-9
+
+
+def _screen_candidates(counts, w, v, t: float, u: float) -> np.ndarray:
+    """The rows of a raw batch (:func:`_draw_rows`) that may match the
+    search pair (t, u), as indices in the order drawn.
+
+    They include every row that :func:`_matching_candidates` keeps once
+    the batch is finished.  A single-atom row rescales to a point mass at
+    t, up to rounding, so those rows pass as a group, and only when
+    |H(t) - u| is within the window.  Every other row is screened on its
+    live columns, k-atom rows together and in row blocks: its rescaled
+    mean is min(t, mean / top), and its entropy is taken only when that
+    mean passes.  Both windows are widened by ``_SCREEN_GUARD``, and a row
+    whose figures are NaN passes.
+    """
+    window = 1e-3 + _SCREEN_GUARD
+    found = []
+    if abs(binary_entropy(t) - u) <= window:
+        found.append(np.flatnonzero(counts == 1))
+    for k in range(2, w.shape[1] + 1):
+        rows = np.flatnonzero(counts == k)
+        for b in _row_blocks(rows.size):
+            rb = rows[b]
+            wk = np.take(w, rb, axis=0)[:, :k]
+            vk = np.take(v, rb, axis=0)[:, :k]
+            total = _column_sum(wk)
+            top = np.maximum(_column_max(vk), 1e-300)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                mean = _column_sum(wk * vk) / total
+                off = np.abs(np.minimum(t, mean / top) - t)
+                near = np.flatnonzero(~(off > window))
+                scale = np.minimum(t / mean[near], 1.0 / top[near])
+                hv = binary_entropy_arr(np.take(vk, near, axis=0) * scale[:, None])
+                ents = _column_sum(np.take(wk, near, axis=0) * hv) / total[near]
+            found.append(rb[near[~(np.abs(ents - u) > window)]])
+    return np.sort(np.concatenate(found))
+
+
+def _pair_candidates(rng: np.random.Generator, m: int, t: float, u: float) -> tuple:
+    """The candidates of one search pair among m rows of up to three atoms
+    drawn from ``rng``: the rows that pass :func:`_screen_candidates` are
+    finished and go through :func:`_matching_candidates`."""
+    counts, w, v = _draw_rows(rng, m, 3)
+    rows = _screen_candidates(counts, w, v, t, u)
+    counts, w, v = (np.take(c, rows, axis=0) for c in (counts, w, v))
+    _finish_rows(counts, w, v)
+    return _matching_candidates(w, v, t, u)
+
+
 def optimum_search_scan(cfg: ScanConfig, pairs: int = 100) -> ScanReport:
     """Random search for joint entropies below the closed-form optimum.
 
     For each (t, u) pair this draws cfg.random_samples candidate
     distributions of up to three atoms (values rescaled toward mean t to
     boost the hit rate), keeps the ones matching the pair within 1e-3 in
-    both mean and expected entropy, and verifies none undercuts the
+    both mean and expected entropy (a screen drops most of the others
+    first, see :func:`_pair_candidates`), and verifies none undercuts the
     certificate at its own moments by more than 1e-4.  The loosest
     undercut relative to the pair's optimum is recorded in details; that
     figure legitimately drifts with the matching box and is not judged.
@@ -1075,10 +1203,9 @@ def optimum_search_scan(cfg: ScanConfig, pairs: int = 100) -> ScanReport:
     qualified = 0
     for _ in range(pairs):
         t = float(rng.uniform(0.05, 0.95))
-        u = float((1.0 - rng.uniform()) * binary_entropy(t))
+        u = float((1.0 - rng.random()) * binary_entropy(t))
         cert = joint_entropy_optimum(t, u)
-        _, w, v = _sample_batch(rng, cfg.random_samples, kmax=3)
-        w2, v2, m2, e2 = _matching_candidates(w, v, t, u)
+        w2, v2, m2, e2 = _pair_candidates(rng, cfg.random_samples, t, u)
         if not m2.size:
             continue
         pair = _product_pairs(v2)
@@ -1233,9 +1360,9 @@ def subset_entropy_scan(cfg: ScanConfig, ground_n: int = 4) -> ScanReport:
         raw = rng.exponential(size=(batch, n_masks))
         style = rng.integers(0, 3, size=batch)
         # sparse support: keep each mask with chance 1/4, empty set as fallback
-        keep_mask = rng.uniform(size=(batch, n_masks)) < 0.25
+        keep_mask = rng.random(size=(batch, n_masks)) < 0.25
         keep_mask[:, 0] = True
-        alpha = FREQUENCY_BOUND * (1.0 - rng.uniform(size=batch))
+        alpha = FREQUENCY_BOUND * (1.0 - rng.random(size=batch))
         parts = []
         for b in _row_blocks(batch):
             r = raw[b]
@@ -1256,7 +1383,9 @@ def subset_entropy_scan(cfg: ScanConfig, ground_n: int = 4) -> ScanReport:
         ratio = binary_entropy_arr(a * a) / binary_entropy_arr(a)
         return _shannon_rows(pun) - ratio * _shannon_rows(p)
 
-    best, row, checked, drawn = _worst_rows(cfg.random_samples, draw, margins)
+    [(best, row, checked, drawn)] = _worst_rows(
+        draw, [_Consumer(cfg.random_samples, margins)]
+    )
     witness: tuple = ()
     if row:
         p, a = row
@@ -1554,11 +1683,49 @@ def run_named_scan(
     configuration.
     """
     check = _check(name)
+    return check.run(_run_cfg(check, cfg, tol), alpha, tol)
+
+
+def _run_cfg(check: Check, cfg: ScanConfig | None, tol: float | None):
+    """``cfg``, or the check's own, with ``tol`` as its tolerance if given."""
     if cfg is None:
         cfg = check.cfg
     if tol is not None and cfg is not None:
         cfg = replace(cfg, tolerance=tol)
-    return check.run(cfg, alpha, tol)
+    return cfg
+
+
+def run_named_scans(
+    runs: list[tuple[str, ScanConfig | None]],
+    alpha: float = 0.5,
+    tol: float | None = None,
+) -> Iterator[tuple[ScanReport, float]]:
+    """Run registered checks, given as ``(name, cfg)`` pairs, in order.
+
+    Yields ``(report, seconds)`` for each, as :func:`run_named_scan` would
+    make it.  When union-bound and product-bound both run at one seed, one
+    pass over their shared level stream (:func:`level_scans`) makes both
+    reports; each is still yielded in its own place, and both carry the
+    seconds of that one pass.
+    """
+    cfgs = {name: _run_cfg(_check(name), cfg, tol) for name, cfg in runs}
+    shared = [name for name in _LEVEL_CHECKS if name in cfgs]
+    if len(shared) < 2 or len({cfgs[name].seed for name in shared}) > 1:
+        shared = []
+    done: dict[str, tuple[ScanReport, float]] = {}
+    for name, _ in runs:
+        if name in done:
+            yield done.pop(name)
+            continue
+        t0 = time.perf_counter()
+        if name in shared:
+            reports = level_scans([(n, cfgs[n]) for n in shared])
+            seconds = time.perf_counter() - t0
+            done = {r.name: (r, seconds) for r in reports}
+            yield done.pop(name)
+        else:
+            report = CHECKS[name].run(cfgs[name], alpha, tol)
+            yield report, time.perf_counter() - t0
 
 
 def reevaluate_witness(report: ScanReport) -> float:

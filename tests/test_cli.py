@@ -14,6 +14,7 @@ import entroset
 from entroset.cli import main
 from entroset.distribution import FiniteDistribution, load_distribution, reduce_support
 from entroset.kernel import binary_entropy
+from entroset.scans import CHECKS
 
 # Frozen two-point merge oracle, same source as in test_distribution.
 ORACLE_Y = 0.7377415277527126
@@ -99,6 +100,33 @@ class TestVerifyAll:
         assert timing["accept_ratio"] == report["points_checked"] / (
             report["details"]["pairs"] * 2000)
         assert 0.0 < timing["accept_ratio"] < 1.0
+
+    @pytest.mark.parametrize("seed", ["42", "7"])
+    def test_shared_level_pass_writes_the_lone_scans_reports(self, tmp_path, capsys, seed):
+        # verify-all draws the level stream once for union-bound and
+        # product-bound; each report is the one its scan writes alone
+        level = ("union-bound", "product-bound")
+        small = ["--samples", "300", "--seed", seed]
+        for name in level:
+            assert main(["scan", name, *small, "--out", str(tmp_path / "alone")]) == 0
+        for only in ([], ["--only", "scans"]):
+            out = tmp_path / ("all" if not only else "scans")
+            capsys.readouterr()
+            assert main(["verify-all", *only, *small, "--out", str(out)]) == 0
+            printed = [line.split()[1].rstrip(":")
+                       for line in capsys.readouterr().out.splitlines()[:-1]]
+            checks = json.loads(
+                (out / "verify-all" / f"all-{seed}.manifest.json").read_text())["checks"]
+            names = [c["name"] for c in checks]
+            assert printed == names
+            assert names == [c.name for c in CHECKS.values()
+                             if not only or c.group == "scans"]
+            times = {c["name"]: c["elapsed_s"] for c in checks}
+            assert times["union-bound"] == times["product-bound"] > 0.0
+            for name in level:
+                alone = (tmp_path / "alone" / "scan" / f"{name}-{seed}.json").read_bytes()
+                shared = (out / "verify-all" / f"{name}-{seed}.json").read_bytes()
+                assert shared == alone
 
     def test_report_json_is_loadable(self, tmp_path):
         out = tmp_path / "r"

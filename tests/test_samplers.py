@@ -14,6 +14,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entroset import kernel, scans
 from entroset.distribution import joint_entropy_optimum
@@ -312,10 +314,11 @@ def report_text(report) -> str:
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("kmax, m", [(6, 65536), (3, 20_000), (6, 4097), (3, 1), (6, 0)])
 def test_sample_batch_is_the_oracle(seed, kmax, m):
-    counts, w, v = scans._sample_batch(np.random.default_rng(seed), m, kmax)
+    counts, w, v, means = scans._sample_batch(np.random.default_rng(seed), m, kmax)
     want_w, want_v = oracle_sample_batch(np.random.default_rng(seed), m, kmax)
     assert_same_bits(w, want_w)
     assert_same_bits(v, want_v)
+    assert_same_bits(means, np.einsum("ij,ij->i", want_w, want_v))
     assert np.array_equal(counts, np.random.default_rng(seed).integers(1, kmax + 1, size=m))
     assert np.array_equal(np.count_nonzero(v, axis=1) <= counts, np.ones(m, bool))
 
@@ -324,10 +327,12 @@ def test_sample_batch_is_the_oracle(seed, kmax, m):
 @pytest.mark.parametrize("below", [True, False], ids=["union", "product"])
 def test_kept_level_rows_and_margins_are_the_oracle(seed, below, blocks):
     lo, hi = (0.0, FREQUENCY_BOUND) if below else (GOLDEN_THRESHOLD, 1.0)
-    draw = scans._draw_levels(np.random.default_rng(seed), lo, hi, below)
+    draw = scans._draw_levels(np.random.default_rng(seed))
+    select = scans._level_select(lo, hi, below)
     want_draw = oracle_level_draw(np.random.default_rng(seed), lo, hi, below, blocks)
     for _ in range(2):
-        drawn, counts, w, v, level = draw()
+        drawn, *batch = draw()
+        counts, w, v, level = select(*batch)
         keep, ow, ov, olevel = want_draw()
         assert drawn == keep.size == blocks
         assert counts.size and np.all(np.count_nonzero(w, axis=1) <= counts)
@@ -350,13 +355,84 @@ def test_optimum_pair_candidates_are_the_oracle(seed, blocks):
         t = float(rng.uniform(0.05, 0.95))
         u = float((1.0 - rng.uniform()) * binary_entropy(t))
         oracle_rng.uniform(size=2)
-        _, w, v = scans._sample_batch(rng, 6000, kmax=3)
-        got = scans._matching_candidates(w, v, t, u)
+        got = scans._pair_candidates(rng, 6000, t, u)
         want = oracle_pair_filter(*oracle_sample_batch(oracle_rng, 6000, kmax=3), t, u)
         for g, o in zip(got, want):
             assert_same_bits(g, o)
         found += got[0].shape[0]
     assert found > 0
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("union_first", [True, False], ids=["union-done-first", "product-done-first"])
+def test_shared_level_pass_is_the_oracle(seed, union_first, blocks):
+    # one consumer reaches its quota batches before the other, and each
+    # report is the oracle's for its check alone
+    small, large = 150, 4 * blocks // 10
+    quotas = (small, large) if union_first else (large, small)
+    runs = [(name, replace(CHECKS[name].cfg, seed=seed, random_samples=n))
+            for name, n in zip(("union-bound", "product-bound"), quotas)]
+    got = scans.level_scans(runs)
+    for (name, cfg), report in zip(runs, got):
+        assert report_text(report) == report_text(oracle_level_scan(name, cfg, blocks))
+    drawn = [r.details["raw_draws"] for r in got]
+    assert (drawn[0] < drawn[1]) == union_first
+
+
+@st.composite
+def screen_cases(draw):
+    """A small raw batch of up to three atoms per row and a search pair
+    (t, u), with one row placed within 1e-12 of the edge of a matching
+    window, or a single-atom group exactly on the edge of its test."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 40))
+    counts, w, v = scans._draw_rows(rng, m, 3)
+    # zero values, and rows whose live values are all zero
+    v[rng.random(size=v.shape) < draw(st.sampled_from([0.0, 0.2]))] = 0.0
+    if draw(st.booleans()):
+        v[rng.integers(0, m)] = 0.0
+    t = draw(st.floats(0.05, 0.95))
+    i = draw(st.integers(0, m - 1))
+    k = draw(st.integers(1, 3))
+    counts[i] = k
+    delta = draw(st.floats(-1e-12, 1e-12))
+    edge = draw(st.sampled_from(["mean", "entropy", "single"] if k > 1 else ["entropy", "single"]))
+    live = np.arange(3) < k
+    wi, vi = w[i] * live / (w[i] * live).sum(), v[i] * live
+    top = max(vi.max(), 1e-300)
+    if edge == "mean" and vi.max() > 0.0:
+        # the mean is capped at mean / top, just under t - 1e-3
+        t = min(float(wi @ vi) / top + 1e-3 + delta, 0.999)
+    scale = min(t / float(wi @ vi), 1.0 / top) if wi @ vi > 0.0 else 1.0 / top
+    ent = float(wi @ H(vi * scale))
+    if edge == "single":
+        u = binary_entropy(t) + draw(st.sampled_from([-1e-3, 1e-3]))
+    else:
+        u = ent + draw(st.sampled_from([-1.0, 1.0])) * (1e-3 + delta)
+    # the row must pass the screen when it lies within 1e-12 of both windows
+    mean = float(wi @ (vi * scale))
+    edge_row = abs(mean - t) <= 1e-3 + 1e-12 and abs(ent - u) <= 1e-3 + 1e-12
+    return counts, w, v, t, u, i if edge_row else None, edge
+
+
+@settings(max_examples=300, deadline=None)
+@given(screen_cases())
+def test_screen_never_drops_a_row_the_exact_route_keeps(case):
+    counts, w, v, t, u, i, edge = case
+    rows = scans._screen_candidates(counts, w, v, t, u)
+    assert np.all(np.diff(rows) > 0)
+    if edge == "single":
+        assert set(np.flatnonzero(counts == 1)) <= set(rows)
+    elif i is not None:
+        assert i in rows
+    finished = [c.copy() for c in (counts, w, v)]
+    scans._finish_rows(*finished)
+    screened = [np.take(c, rows, axis=0) for c in (counts, w, v)]
+    scans._finish_rows(*screened)
+    want = scans._matching_candidates(finished[1], finished[2], t, u)
+    got = scans._matching_candidates(screened[1], screened[2], t, u)
+    for g, o in zip(got, want):
+        assert_same_bits(g, o)
 
 
 SMALL = {

@@ -43,6 +43,7 @@ from entroset.scans import (
     reduction_consistency_scan,
     reevaluate_witness,
     run_named_scan,
+    _Consumer,
     _worst_rows,
     scan_rate_convexity,
     subset_entropy_scan,
@@ -411,7 +412,8 @@ class TestScanEngines:
             tags = np.array([next(rows) for _ in vals])
             return keep.size, vals[keep], tags[keep]
 
-        best, row, checked, drawn = _worst_rows(6, draw, lambda vals, tags: vals)
+        [(best, row, checked, drawn)] = _worst_rows(
+            draw, [_Consumer(6, lambda vals, tags: vals)])
         assert (best, row[1]) == (1.0, 6)
         assert (checked, drawn) == (6, 9)
 
