@@ -256,7 +256,9 @@ def cmd_scan(args) -> int:
             lo, hi, step = args.beta
             kw.update(range_lo=lo, range_hi=hi, grid_step=step)
         cfg = replace(cfg, **kw)
-    [(report, elapsed)] = _scans.run_named_scans([(name, cfg)], alpha=args.alpha, tol=args.tol)
+    [(report, elapsed)] = _scans.run_named_scans(
+        [(name, cfg)], alpha=args.alpha, tol=args.tol
+    )
     timing = _check_timing(report, elapsed)
     _print_report_line(report)
     report_path = _write_report_json(args, "scan", name, report_to_json(report))

@@ -1682,8 +1682,8 @@ def run_named_scan(
     ``cfg.tolerance``, or the residual bounds of a check without a
     configuration.
     """
-    check = _check(name)
-    return check.run(_run_cfg(check, cfg, tol), alpha, tol)
+    [(report, _)] = run_named_scans([(name, cfg)], alpha, tol)
+    return report
 
 
 def _run_cfg(check: Check, cfg: ScanConfig | None, tol: float | None):
@@ -1702,11 +1702,11 @@ def run_named_scans(
 ) -> Iterator[tuple[ScanReport, float]]:
     """Run registered checks, given as ``(name, cfg)`` pairs, in order.
 
-    Yields ``(report, seconds)`` for each, as :func:`run_named_scan` would
-    make it.  When union-bound and product-bound both run at one seed, one
-    pass over their shared level stream (:func:`level_scans`) makes both
-    reports; each is still yielded in its own place, and both carry the
-    seconds of that one pass.
+    Yields ``(report, seconds)`` for each; ``cfg`` and ``tol`` are read as
+    :func:`run_named_scan` reads them.  When union-bound and product-bound
+    both run at one seed, one pass over their shared level stream
+    (:func:`level_scans`) makes both reports.  Each is still yielded in
+    its own place, and both carry the seconds of that one pass.
     """
     cfgs = {name: _run_cfg(_check(name), cfg, tol) for name, cfg in runs}
     shared = [name for name in _LEVEL_CHECKS if name in cfgs]
