@@ -379,6 +379,18 @@ def test_shared_level_pass_is_the_oracle(seed, union_first, blocks):
     assert (drawn[0] < drawn[1]) == union_first
 
 
+def test_level_checks_at_two_seeds_run_apart():
+    # only one seed makes one stream: at two seeds each check runs alone
+    runs = [(name, replace(CHECKS[name].cfg, seed=seed, random_samples=300))
+            for name, seed in (("union-bound", 42), ("product-bound", 7))]
+    got = list(scans.run_named_scans(runs))
+    assert [r.name for r, _ in got] == ["union-bound", "product-bound"]
+    for (name, cfg), (report, _) in zip(runs, got):
+        assert report_text(report) == report_text(scans.run_named_scan(name, cfg))
+    with pytest.raises(ValueError):
+        scans.level_scans(runs)
+
+
 @st.composite
 def screen_cases(draw):
     """A small raw batch of up to three atoms per row and a search pair
