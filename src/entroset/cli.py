@@ -136,11 +136,10 @@ def _rows_drawn(r: ScanReport) -> int | None:
     """Rows a rejection-sampling check drew, from its report: ``raw_draws``,
     or the pairs times the rows drawn per pair for optimum-search; None for
     a check that does not sample."""
-    details = r.details or {}
-    if "raw_draws" in details:
-        return details["raw_draws"]
-    if "pairs" in details:
-        return details["pairs"] * r.config["random_samples"]
+    if "raw_draws" in r.details:
+        return r.details["raw_draws"]
+    if "pairs" in r.details:
+        return r.details["pairs"] * r.config["random_samples"]
     return None
 
 
@@ -155,7 +154,7 @@ def _check_timing(r: ScanReport, elapsed: float) -> dict:
         "elapsed_s": elapsed,
         "points_per_s": r.points_checked / elapsed if elapsed > 0.0 else None,
         "accept_ratio": r.points_checked / drawn if drawn else None,
-        "route_gap": (r.details or {}).get("route_gap"),
+        "route_gap": r.details.get("route_gap"),
     }
 
 
@@ -264,7 +263,7 @@ def cmd_scan(args) -> int:
     report_path = _write_report_json(args, "scan", name, report_to_json(report))
     if name == "threshold":
         rows = [["beta", "min_margin", "points", "above_golden"]]
-        for row in (report.details or {}).get("rows", []):
+        for row in report.details.get("rows", []):
             rows.append([
                 repr(row["beta"]),
                 repr(row["min_margin"]),

@@ -73,7 +73,7 @@ class ScanReport:
     passed: bool
     tolerance: float
     config: dict = field(default_factory=dict)
-    details: dict | None = None
+    details: dict = field(default_factory=dict)
 
 
 def make_report(
@@ -98,7 +98,7 @@ def make_report(
         passed=bool(points_checked > 0 and min_margin >= -tolerance),
         tolerance=float(tolerance),
         config=dict(config or {}),
-        details=details,
+        details={} if details is None else details,
     )
 
 
@@ -116,7 +116,7 @@ def _jsonable(value: Any) -> Any:
 
 
 def report_to_json(report: ScanReport) -> dict:
-    doc = {
+    return {
         "name": report.name,
         "points_checked": report.points_checked,
         "min_margin": _jsonable(report.min_margin),
@@ -124,10 +124,8 @@ def report_to_json(report: ScanReport) -> dict:
         "passed": report.passed,
         "tolerance": report.tolerance,
         "config": _jsonable(report.config),
+        "details": _jsonable(report.details),
     }
-    if report.details is not None:
-        doc["details"] = _jsonable(report.details)
-    return doc
 
 
 def report_from_json(doc: dict) -> ScanReport:
@@ -142,7 +140,7 @@ def report_from_json(doc: dict) -> ScanReport:
         passed=bool(doc["passed"]),
         tolerance=float(doc["tolerance"]),
         config=dict(doc.get("config", {})),
-        details=doc.get("details"),
+        details=doc.get("details", {}),
     )
 
 

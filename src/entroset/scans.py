@@ -406,20 +406,11 @@ def product_bound_chain(d: FiniteDistribution, beta: float) -> BoundChain:
     """Decompose :func:`product_bound_margin` into its three proof steps.
 
     Every step margin should clear -1e-9 on valid inputs, and the steps
-    plus the identity residual recompose the total margin.
+    plus the identity residual recompose the total margin.  The hypothesis
+    checks and ``margin`` are those of :func:`product_bound_margin`.
     """
-    beta = as_prob(beta, "beta")
-    if beta == 1.0:
-        raise PreconditionError("beta must be strictly below 1")
-    if beta < GOLDEN_THRESHOLD - 1e-15:
-        raise PreconditionError(
-            f"beta must be at least {GOLDEN_THRESHOLD}, got {beta!r}"
-        )
+    margin = product_bound_margin(d, beta)
     t = d.mean()
-    if t < beta - 1e-12:
-        raise PreconditionError(
-            f"mean {t!r} is below beta {beta!r}; the bound needs mean >= beta"
-        )
     u = d.expected_entropy()
     joint = d.expected_joint_entropy()
     v = inverse_entropy_rate(u / t) if u > 0.0 else 1.0
@@ -430,7 +421,6 @@ def product_bound_chain(d: FiniteDistribution, beta: float) -> BoundChain:
     s_t = entropy_sq_ratio_scaled(t)
     r_t = entropy_sq_ratio(t)
     r_beta = entropy_sq_ratio(beta)
-    ratio = entropy_of_square(beta) / binary_entropy(beta)
     return BoundChain(
         t=t,
         u=u,
@@ -441,7 +431,7 @@ def product_bound_chain(d: FiniteDistribution, beta: float) -> BoundChain:
         step_scaled=t * u * (s_v - s_t),
         step_golden=u * (r_t - r_beta),
         identity_residual=optimum - t * u * s_v,
-        margin=joint - ratio * u,
+        margin=margin,
     )
 
 
@@ -1110,26 +1100,18 @@ def _matching_candidates(w, v, t: float, u: float) -> tuple:
     order drawn.
 
     Each row's values are first rescaled toward mean t, as far as the
-    largest value may go without passing 1.  Row blocks keep the
-    temporaries in cache, and entropies are taken only for the rows whose
-    rescaled mean already matches.
+    largest value may go without passing 1.  The rows are those that
+    passed :func:`_screen_candidates`, a small share of those drawn, so
+    all of them are handled at once.
     """
-    parts = []
-    for b in _row_blocks(w.shape[0]):
-        wb = w[b]
-        vb = v[b]
-        top = np.maximum(_column_max(vb), 1e-300)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.minimum(t / np.einsum("ij,ij->i", wb, vb), 1.0 / top)
-        vb = vb * scale[:, None]
-        means = np.einsum("ij,ij->i", wb, vb)
-        near = np.flatnonzero(np.abs(means - t) <= 1e-3)
-        ents = np.einsum("ij,ij->i", np.take(wb, near, axis=0),
-                         binary_entropy_arr(np.take(vb, near, axis=0)))
-        hit = np.abs(ents - u) <= 1e-3
-        rows = near[hit]
-        parts.append((*(np.take(c, rows, axis=0) for c in (wb, vb, means)), ents[hit]))
-    return tuple(np.concatenate(c) for c in zip(*parts))
+    top = np.maximum(_column_max(v), 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.minimum(t / np.einsum("ij,ij->i", w, v), 1.0 / top)
+    v = v * scale[:, None]
+    means = np.einsum("ij,ij->i", w, v)
+    ents = np.einsum("ij,ij->i", w, binary_entropy_arr(v))
+    rows = np.flatnonzero((np.abs(means - t) <= 1e-3) & (np.abs(ents - u) <= 1e-3))
+    return tuple(np.take(c, rows, axis=0) for c in (w, v, means, ents))
 
 
 #: Slack the optimum-search screen adds to both matching windows.  Its
@@ -1237,10 +1219,13 @@ def optimum_search_scan(cfg: ScanConfig, pairs: int = 100) -> ScanReport:
 # kernel self-checks packaged as reports
 # ----------------------------------------------------------------------
 
+#: The x-grid of :func:`kernel_roundtrip_scan`.
+_ROUNDTRIP_GRID = ScanConfig(grid_step=1e-3, random_samples=0, seed=42,
+                             tolerance=0.0, range_lo=1e-3, range_hi=0.999)
+
+
 def kernel_roundtrip_scan(
-    x_tol: float = 1e-9,
-    rate_tol: float = KERNEL_TOL,
-    cfg: ScanConfig | None = None,
+    x_tol: float = 1e-9, rate_tol: float = KERNEL_TOL
 ) -> ScanReport:
     """Round-trip the rate both ways across dense grids.
 
@@ -1248,10 +1233,7 @@ def kernel_roundtrip_scan(
     |f(g(y)) - y| <= rate_tol * max(1, y) on a y-grid.  Margins are the
     bounds minus the residuals, judged at tolerance zero.
     """
-    if cfg is None:
-        cfg = ScanConfig(grid_step=1e-3, random_samples=0, seed=42,
-                         tolerance=0.0, range_lo=1e-3, range_hi=0.999)
-    xs = _grid(cfg)
+    xs = _grid(_ROUNDTRIP_GRID)
     back = inverse_entropy_rate_arr(entropy_rate_arr(xs))
     m_x = x_tol - np.abs(back - xs)
     i = int(np.argmin(m_x))
@@ -1273,7 +1255,7 @@ def kernel_roundtrip_scan(
     }
     return _certified(
         "kernel-roundtrip", xs.size + ys.size, vector_min, witness, 0.0,
-        _config_dict(cfg), details,
+        _config_dict(_ROUNDTRIP_GRID), details,
     )
 
 
@@ -1335,8 +1317,11 @@ def subset_entropy_scan(cfg: ScanConfig, ground_n: int = 4) -> ScanReport:
     (0, FREQUENCY_BOUND], keeps instances whose marginals all sit at or
     below alpha, and tracks the worst margin.  Point masses are skipped:
     there both sides of the bound are zero, so the margin 0 says nothing
-    about how tight the bound is.  The reported minimum is certified
-    through the scalar :func:`union_entropy_margin`.
+    about how tight the bound is.  Each kept row's law of A | B comes
+    from the union law, as in :func:`union_distribution`: one
+    ``np.bincount`` of p_a * p_b over the codes row * 2^n + (a | b).  The
+    reported minimum is certified through the scalar
+    :func:`union_entropy_margin`.
     """
     if not (1 <= ground_n <= MAX_ENUM_GROUND):
         raise SetFamilyError(
@@ -1348,10 +1333,7 @@ def subset_entropy_scan(cfg: ScanConfig, ground_n: int = 4) -> ScanReport:
     damp = 3.0 ** -bits.sum(axis=1).astype(float)
     # the masks that hold each element, in ascending order
     holders = [np.flatnonzero(bits[:, e]) for e in range(ground_n)]
-    uni = np.bitwise_or.outer(masks, masks)
-    scatter = np.zeros((n_masks, n_masks, n_masks))
-    ii, jj = np.meshgrid(masks, masks, indexing="ij")
-    scatter[ii, jj, uni] = 1.0
+    uni = np.bitwise_or.outer(masks, masks).ravel()
 
     rng = np.random.default_rng(cfg.seed)
     batch = 16384
@@ -1379,7 +1361,10 @@ def subset_entropy_scan(cfg: ScanConfig, ground_n: int = 4) -> ScanReport:
         return batch, *(np.concatenate(c) for c in zip(*parts))
 
     def margins(p, a):
-        pun = np.einsum("nab,abm->nm", np.einsum("na,nb->nab", p, p), scatter)
+        n = p.shape[0]
+        codes = (np.arange(n)[:, None] * n_masks + uni).ravel()
+        pun = np.bincount(codes, weights=(p[:, :, None] * p[:, None, :]).ravel(),
+                          minlength=n * n_masks).reshape(n, n_masks)
         ratio = binary_entropy_arr(a * a) / binary_entropy_arr(a)
         return _shannon_rows(pun) - ratio * _shannon_rows(p)
 

@@ -144,7 +144,6 @@ class SetFamily:
             raise SetFamilyError("a family needs at least one member set")
         object.__setattr__(self, "ground_n", ground_n)
         object.__setattr__(self, "members", tuple(sorted(seen)))
-        object.__setattr__(self, "_closed", None)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -177,12 +176,8 @@ class SetFamily:
         raise AssertionError("a family that is not closed has a violating pair")
 
     def is_union_closed(self) -> bool:
-        cached = getattr(self, "_closed")
-        if cached is None:
-            closure = _closure_bitmap(self.ground_n, np.array(self.members, dtype=np.int64))
-            cached = int(np.count_nonzero(closure)) == len(self.members)
-            object.__setattr__(self, "_closed", cached)
-        return cached
+        closure = _closure_bitmap(self.ground_n, np.array(self.members, dtype=np.int64))
+        return int(np.count_nonzero(closure)) == len(self.members)
 
     def is_degenerate(self) -> bool:
         """True for the single-member family containing only the empty set."""

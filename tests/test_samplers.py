@@ -476,6 +476,17 @@ def test_sampled_reports_are_the_oracle(name, seed, blocks):
 
 
 @pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("ground_n", [1, 2, 3])
+def test_subset_entropy_union_law_at_every_ground_size(ground_n, seed):
+    # ground_n = 4, the registry's size, is test_sampled_reports_are_the_oracle's
+    cfg = replace(CHECKS["subset-entropy"].cfg, seed=seed,
+                  random_samples=SMALL["subset-entropy"])
+    got = scans.subset_entropy_scan(cfg, ground_n)
+    assert got.points_checked > 0
+    assert report_text(got) == report_text(oracle_subset_entropy(cfg, ground_n))
+
+
+@pytest.mark.parametrize("seed", [42, 7])
 def test_bridge_gap_report_is_the_oracle(seed, blocks):
     got = scans.bridge_gap_scan(samples=300, seed=seed)
     want = oracle_bridge_gap(300, seed, scans.BRIDGE_TOL, blocks)

@@ -249,14 +249,21 @@ class TestExpectationInequalities:
                 + chain.step_golden
             )
             assert chain.margin == pytest.approx(recomposed, abs=1e-10)
-            assert chain.margin == pytest.approx(
-                product_bound_margin(d, beta), abs=1e-12
-            )
+            assert chain.margin == product_bound_margin(d, beta)
 
     def test_chain_preconditions(self):
-        d = FiniteDistribution([(1.0, 0.9)])
-        with pytest.raises(PreconditionError):
-            product_bound_chain(d, 0.5)
+        # beta = 1, beta below the golden threshold, and a mean below beta
+        for mean, beta, message in [
+            (0.9, 1.0, "strictly below 1"),
+            (0.9, 0.5, "must be at least"),
+            (0.7, 0.8, "is below beta"),
+        ]:
+            d = FiniteDistribution([(1.0, mean)])
+            with pytest.raises(PreconditionError, match=message) as chain_err:
+                product_bound_chain(d, beta)
+            with pytest.raises(PreconditionError) as margin_err:
+                product_bound_margin(d, beta)
+            assert str(chain_err.value) == str(margin_err.value)
 
 
 class TestScanReports:
