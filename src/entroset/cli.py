@@ -74,13 +74,19 @@ def _csv_text(rows: list[list[str]]) -> str:
     return "".join(",".join(row) + "\n" for row in rows)
 
 
-def _report_dir(args, subcommand: str) -> Path:
-    return Path(args.out) / subcommand
+def _report_path(args, subcommand: str, stem: str, suffix: str = ".json") -> Path:
+    return Path(args.out) / subcommand / f"{stem}-{args.seed}{suffix}"
 
 
 def _write_report_json(args, subcommand: str, stem: str, doc: dict) -> Path:
-    path = _report_dir(args, subcommand) / f"{stem}-{args.seed}.json"
+    path = _report_path(args, subcommand, stem)
     _write_atomic(path, _json_text(doc))
+    return path
+
+
+def _write_csv(args, subcommand: str, stem: str, rows: list[list[str]]) -> Path:
+    path = _report_path(args, subcommand, stem, ".csv")
+    _write_atomic(path, _csv_text(rows))
     return path
 
 
@@ -102,25 +108,18 @@ def _write_manifest(
         "report_path": str(report_path),
     }
     manifest.update(fields)
-    path = _report_dir(args, subcommand) / f"{stem}-{args.seed}.manifest.json"
-    _write_atomic(path, _json_text(manifest))
-
-
-def _print_report_line(r: ScanReport) -> None:
-    verdict = "PASS" if r.passed else "FAIL"
-    print(
-        f"[{verdict}] {r.name}: min_margin={r.min_margin:.6e} "
-        f"points={r.points_checked} tolerance={r.tolerance:g}"
-    )
+    _write_atomic(_report_path(args, subcommand, stem, ".manifest.json"),
+                  _json_text(manifest))
 
 
 # ----------------------------------------------------------------------
-# verify-all
+# running checks: verify-all and scan
 # ----------------------------------------------------------------------
 
-def _verify_cfg(args, check: _scans.Check) -> ScanConfig | None:
+def _check_cfg(args, check: _scans.Check) -> ScanConfig | None:
     """The check's configuration with --seed, and with --samples for a
-    sampled check or --step for a grid (curve) check."""
+    sampled check or --step for a grid (curve) check; threshold takes its
+    band and step from scan's --beta."""
     if check.cfg is None:
         return None
     kw: dict = {"seed": args.seed}
@@ -129,6 +128,8 @@ def _verify_cfg(args, check: _scans.Check) -> ScanConfig | None:
             kw["random_samples"] = args.samples
     elif args.step is not None:
         kw["grid_step"] = args.step
+    if check.name == "threshold" and getattr(args, "beta", None) is not None:
+        kw["range_lo"], kw["range_hi"], kw["grid_step"] = args.beta
     return replace(check.cfg, **kw)
 
 
@@ -158,25 +159,31 @@ def _check_timing(r: ScanReport, elapsed: float) -> dict:
     }
 
 
-def cmd_verify_all(args) -> int:
-    started = time.time()
-    runs = [(check.name, _verify_cfg(args, check)) for check in _scans.CHECKS.values()
-            if args.only in (None, check.group)]
-    reports = []
-    timings = []
+def _run_checks(args, subcommand: str, checks) -> tuple[list[ScanReport], list[dict]]:
+    """Run the registry entries ``checks`` under the command line's flags:
+    print each report's line and write its JSON report.  Returns the reports
+    and their manifest timings."""
+    runs = [(check.name, _check_cfg(args, check)) for check in checks]
+    reports, timings = [], []
     for r, elapsed in _scans.run_named_scans(runs, alpha=args.alpha, tol=args.tol):
         timings.append(_check_timing(r, elapsed))
         reports.append(r)
-        _print_report_line(r)
-        _write_report_json(args, "verify-all", r.name, report_to_json(r))
+        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: min_margin={r.min_margin:.6e} "
+              f"points={r.points_checked} tolerance={r.tolerance:g}")
+        _write_report_json(args, subcommand, r.name, report_to_json(r))
+    return reports, timings
+
+
+def cmd_verify_all(args) -> int:
+    started = time.time()
+    checks = [c for c in _scans.CHECKS.values() if args.only in (None, c.group)]
+    reports, timings = _run_checks(args, "verify-all", checks)
     passed = sum(1 for r in reports if r.passed)
     print(f"{passed}/{len(reports)} checks passed")
     if args.format == "csv":
-        rows = [report_csv_header()] + [report_csv_row(r) for r in reports]
-        _write_atomic(
-            _report_dir(args, "verify-all") / f"all-{args.seed}.csv", _csv_text(rows)
-        )
-    _write_manifest(args, "verify-all", "all", started, _report_dir(args, "verify-all"),
+        _write_csv(args, "verify-all", "all",
+                   [report_csv_header()] + [report_csv_row(r) for r in reports])
+    _write_manifest(args, "verify-all", "all", started, Path(args.out) / "verify-all",
                     checks=timings)
     return 0 if passed == len(reports) else 1
 
@@ -244,23 +251,7 @@ def _parse_beta_band(text: str) -> tuple[float, float, float]:
 def cmd_scan(args) -> int:
     started = time.time()
     name = args.name
-    cfg = _scans.CHECKS[name].cfg
-    if cfg is not None:
-        kw: dict = {"seed": args.seed}
-        if args.step is not None:
-            kw["grid_step"] = args.step
-        if args.samples is not None:
-            kw["random_samples"] = args.samples
-        if name == "threshold" and args.beta is not None:
-            lo, hi, step = args.beta
-            kw.update(range_lo=lo, range_hi=hi, grid_step=step)
-        cfg = replace(cfg, **kw)
-    [(report, elapsed)] = _scans.run_named_scans(
-        [(name, cfg)], alpha=args.alpha, tol=args.tol
-    )
-    timing = _check_timing(report, elapsed)
-    _print_report_line(report)
-    report_path = _write_report_json(args, "scan", name, report_to_json(report))
+    [report], timings = _run_checks(args, "scan", [_scans.CHECKS[name]])
     if name == "threshold":
         rows = [["beta", "min_margin", "points", "above_golden"]]
         for row in report.details.get("rows", []):
@@ -270,15 +261,11 @@ def cmd_scan(args) -> int:
                 str(row["points"]),
                 "1" if row["above_golden"] else "0",
             ])
-        _write_atomic(
-            _report_dir(args, "scan") / f"{name}-{args.seed}.csv", _csv_text(rows)
-        )
+        _write_csv(args, "scan", name, rows)
     elif args.format == "csv":
-        rows = [report_csv_header(), report_csv_row(report)]
-        _write_atomic(
-            _report_dir(args, "scan") / f"{name}-{args.seed}.csv", _csv_text(rows)
-        )
-    _write_manifest(args, "scan", name, started, report_path, checks=[timing])
+        _write_csv(args, "scan", name, [report_csv_header(), report_csv_row(report)])
+    _write_manifest(args, "scan", name, started, _report_path(args, "scan", name),
+                    checks=timings)
     return 0 if report.passed else 1
 
 
@@ -348,8 +335,7 @@ def cmd_family_enumerate(args) -> int:
     rows = _sf.family_census(args.n)
     worst = min(rows, key=lambda r: r["margin"])
     stem = f"enumerate-n{args.n}"
-    csv_path = _report_dir(args, "family") / f"{stem}-{args.seed}.csv"
-    _write_atomic(csv_path, _csv_text(_sf.census_csv_rows(rows)))
+    csv_path = _write_csv(args, "family", stem, _sf.census_csv_rows(rows))
     doc = {
         "action": "enumerate",
         "ground_n": args.n,
@@ -410,8 +396,6 @@ def cmd_family_entropy(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (default 42)")
     p.add_argument("--out", default=DEFAULT_OUT, help="report directory (default reports/)")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="report format; JSON is always written")
 
 
 def _sample_budgets() -> str:
@@ -425,6 +409,31 @@ def _sample_budgets() -> str:
     )
 
 
+def _add_check_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of the commands that run checks, verify-all and scan, each
+    mapped onto a check's configuration by :func:`_check_cfg`."""
+    _add_common(p)
+    curves = ", ".join(c.name for c in _scans.CHECKS.values()
+                       if c.cfg is not None and not c.cfg.random_samples)
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="report format; JSON is always written")
+    p.add_argument("--samples", type=int, default=None,
+                   help="override the sample budget of every sampled check "
+                        f"(default: {_sample_budgets()})")
+    p.add_argument("--step", type=float, default=None,
+                   help=f"override the grid step of the curve checks ({curves}); "
+                        "sampled checks ignore it, and threshold takes its beta "
+                        "step from scan's --beta only")
+    p.add_argument("--tol", type=float, default=None,
+                   help="override the tolerance of every configured check (bridge-gap's "
+                        "bound) and the residual bounds of kernel-roundtrip and "
+                        "golden-anchor; family-sweep (exact), entropy-bridge (fixed "
+                        "1e-12 slack) and the fixed residual bounds of "
+                        "merge-properties and reduction stay as they are")
+    p.add_argument("--alpha", type=float, default=0.5,
+                   help="rescaling level for rate-convexity (default 0.5)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entroset",
@@ -434,19 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     va = sub.add_parser("verify-all", help="run every check group")
-    _add_common(va)
+    _add_check_flags(va)
     groups = tuple(dict.fromkeys(c.group for c in _scans.CHECKS.values()))
     va.add_argument("--only", choices=groups, default=None,
                     help="restrict to one check group")
-    va.add_argument("--samples", type=int, default=None,
-                    help="override the sample budget of every sampled check "
-                         f"(default: {_sample_budgets()})")
-    va.add_argument("--step", type=float, default=None,
-                    help="override grid step for the four curve scans")
-    va.add_argument("--tol", type=float, default=None,
-                    help="override every margin tolerance and residual bound")
-    va.add_argument("--alpha", type=float, default=0.5,
-                    help="rescaling level for the convexity scan (default 0.5)")
     va.set_defaults(func=cmd_verify_all)
 
     rd = sub.add_parser("reduce", help="reduce a distribution file")
@@ -456,15 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
     rd.set_defaults(func=cmd_reduce)
 
     sc = sub.add_parser("scan", help="run one named check")
-    _add_common(sc)
+    _add_check_flags(sc)
     sc.add_argument("name", choices=_scans.SCAN_NAMES, help="check to run")
-    sc.add_argument("--step", type=float, default=None, help="grid step override")
-    sc.add_argument("--samples", type=int, default=None, help="random sample override")
-    sc.add_argument("--tol", type=float, default=None, help="margin tolerance override")
-    sc.add_argument("--alpha", type=float, default=0.5,
-                    help="rescaling level for rate-convexity (default 0.5)")
+    band = _scans.CHECKS["threshold"].cfg
     sc.add_argument("--beta", type=_parse_beta_band, default=None, metavar="LO:HI:STEP",
-                    help="threshold band for the threshold scan")
+                    help="band and step of threshold's beta grid (default "
+                         f"{band.range_lo:g}:{band.range_hi:g}:{band.grid_step:g})")
     sc.set_defaults(func=cmd_scan)
 
     fa = sub.add_parser("family", help="set-family tools")

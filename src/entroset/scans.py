@@ -908,28 +908,27 @@ def _bridge_margin(bound: float, witness: tuple) -> float:
     return bound - complement_bridge_gap(*_at_level(witness))
 
 
-def bridge_gap_scan(
-    samples: int = 10_000, seed: int = 42, bound: float = BRIDGE_TOL
-) -> ScanReport:
+def bridge_gap_scan(cfg: ScanConfig) -> ScanReport:
     """Check the complement bridge on paired random instances.
 
-    Margin convention: bound - gap per pair, so the report passes at
-    tolerance zero iff every pair agrees within ``bound``.  Every pair
-    goes through the scalar route; there is no vector route to certify.
+    Margin convention: ``cfg.tolerance`` minus the gap per pair, so the
+    report passes at tolerance zero iff every pair agrees within it.  Every
+    pair goes through the scalar route; there is no vector route to certify.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
 
     def margins(*columns):
-        return np.array([_bridge_margin(bound, _level_witness(row))
+        return np.array([_bridge_margin(cfg.tolerance, _level_witness(row))
                          for row in zip(*columns)])
 
     select = _level_select(GOLDEN_THRESHOLD, 1.0, below=False)
     [(best, row, checked, _)] = _worst_rows(
-        _draw_levels(rng), [_Consumer(samples, margins, select)]
+        _draw_levels(rng), [_Consumer(cfg.random_samples, margins, select)]
     )
     return make_report(
         "bridge-gap", checked, best, _level_witness(row), 0.0,
-        config={"random_samples": samples, "seed": seed}, details={"bound": bound},
+        config={"random_samples": cfg.random_samples, "seed": cfg.seed},
+        details={"bound": cfg.tolerance},
     )
 
 
@@ -1089,7 +1088,7 @@ def reduction_consistency_scan(cfg: ScanConfig) -> ScanReport:
         "certificate_bound": REDUCTION_CERT_TOL,
     }
     return make_report(
-        "reduction", cfg.random_samples, best, best_witness, 0.0,
+        "reduction", cfg.random_samples, best, best_witness, cfg.tolerance,
         config=_config_dict(cfg), details=details,
     )
 
@@ -1210,7 +1209,7 @@ def optimum_search_scan(cfg: ScanConfig, pairs: int = 100) -> ScanReport:
         "pair_level_min_margin": pair_undercut,
     }
     return _certified(
-        "optimum-search", qualified, best, best_witness, 0.0,
+        "optimum-search", qualified, best, best_witness, cfg.tolerance,
         _config_dict(cfg), details,
     )
 
@@ -1465,10 +1464,12 @@ class Check:
     ``group`` is its ``verify-all --only`` group.  ``cfg`` is the
     configuration ``verify-all`` runs it with, or None for a check with
     fixed inputs.  ``run(cfg, alpha, tol)`` produces the report: ``alpha``
-    is the rate-convexity level, and ``tol`` the ``--tol`` override, which
-    reaches the checks without a ``cfg`` as their own bounds; the others
-    receive it as ``cfg.tolerance``.  ``replay(report)`` recomputes the
-    report's margin at its witness through the scalar route.
+    is the rate-convexity level, and ``tol`` the ``--tol`` override: a
+    configured check reads it as ``cfg.tolerance`` (bridge-gap's bound),
+    as it reads all its settings, kernel-roundtrip and golden-anchor as
+    their residual bounds, and family-sweep and entropy-bridge not at all.
+    ``replay(report)`` recomputes the report's margin at its witness
+    through the scalar route.
     """
 
     name: str
@@ -1610,9 +1611,7 @@ CHECKS: dict[str, Check] = {c.name: c for c in (
         # itself is judged at tolerance zero
         "bridge-gap", "scans",
         ScanConfig(random_samples=10_000, seed=42, tolerance=BRIDGE_TOL),
-        lambda cfg, alpha, tol: bridge_gap_scan(
-            samples=cfg.random_samples, seed=cfg.seed, bound=cfg.tolerance
-        ),
+        lambda cfg, alpha, tol: bridge_gap_scan(cfg),
         lambda r: _bridge_margin(r.details["bound"], r.argmin_witness),
     ),
     Check(
@@ -1664,8 +1663,8 @@ def run_named_scan(
     """Run one registered check; raises ValueError on unknown names.
 
     ``cfg`` defaults to the check's own.  ``tol``, when given, replaces
-    ``cfg.tolerance``, or the residual bounds of a check without a
-    configuration.
+    ``cfg.tolerance``, or the residual bounds of kernel-roundtrip and
+    golden-anchor; see :class:`Check`.
     """
     [(report, _)] = run_named_scans([(name, cfg)], alpha, tol)
     return report

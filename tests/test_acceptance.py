@@ -156,7 +156,7 @@ def test_criterion_7_expectation_inequalities_at_scale():
     product = scan_product_bound(
         replace(CHECKS["product-bound"].cfg, random_samples=1_000_000)
     )
-    bridge = bridge_gap_scan(samples=10_000, seed=42, bound=1e-12)
+    bridge = bridge_gap_scan(ScanConfig(random_samples=10_000, seed=42, tolerance=1e-12))
     ok = union.passed and product.passed and bridge.passed
     line = record_criterion(
         7, ok,

@@ -26,12 +26,53 @@ def write(path, text):
     return str(path)
 
 
+#: Flags both check-running commands take: a sample budget at which
+#: optimum-search still keeps candidates, and a grid step coarser than every
+#: registered one, threshold's 0.01 included.
+SAME_FLAGS = ["--samples", "2000", "--step", "0.05"]
+
+
+@pytest.fixture(scope="module")
+def verified(tmp_path_factory):
+    """verify-all's report of a check under SAME_FLAGS, from one
+    ``--only GROUP`` run per group."""
+    out = tmp_path_factory.mktemp("verified")
+    groups = set()
+
+    def report(name, group):
+        if group not in groups:
+            assert main(["verify-all", "--only", group, *SAME_FLAGS,
+                         "--out", str(out)]) == 0
+            groups.add(group)
+        return (out / "verify-all" / f"{name}-42.json").read_bytes()
+
+    return report
+
+
 class TestTopLevel:
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 2
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "{dist}", "{tmp}/reduced.txt"],
+        ["family", "check", "{fam}"],
+        ["family", "closure", "{fam}"],
+        ["family", "enumerate", "--n", "2"],
+        ["family", "entropy", "{fam}"],
+    ], ids=["reduce", "family-check", "family-closure", "family-enumerate",
+            "family-entropy"])
+    def test_format_is_refused_where_no_report_reads_it(self, tmp_path, argv):
+        # only verify-all and scan write CSV reports
+        paths = {"dist": write(tmp_path / "d.txt", "0.5 0.3\n0.5 0.9\n"),
+                 "fam": write(tmp_path / "f.fam", "n=2\nempty\n0\n1\n0,1\n"),
+                 "tmp": str(tmp_path)}
+        argv = [a.format(**paths) for a in argv]
+        out = tmp_path / "r"
+        assert main([*argv, "--format", "csv", "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestVerifyAll:
@@ -217,17 +258,48 @@ class TestScan:
               "--out", str(out)])
         assert (out / "scan" / "union-bound-7.json").exists()
 
-    @pytest.mark.parametrize("name, group", [("golden-anchor", "kernel"),
-                                             ("entropy-bridge", "setfamily")])
-    def test_scan_report_matches_verify_all(self, tmp_path, name, group):
-        # one registry entry drives both subcommands, so the reports agree
-        out = tmp_path / "r"
-        assert main(["scan", name, "--out", str(out)]) == 0
-        assert main(["verify-all", "--only", group, "--samples", "1000",
-                     "--out", str(out)]) == 0
-        scanned = (out / "scan" / f"{name}-42.json").read_bytes()
-        verified = (out / "verify-all" / f"{name}-42.json").read_bytes()
-        assert scanned == verified
+    @pytest.mark.parametrize("name, group", [(c.name, c.group) for c in CHECKS.values()])
+    def test_scan_report_matches_verify_all(self, tmp_path, name, group, verified):
+        # one mapping from flags to a check's configuration and one run loop
+        # drive both subcommands, so under the same flags the reports agree
+        assert main(["scan", name, *SAME_FLAGS, "--out", str(tmp_path)]) == 0
+        scanned = (tmp_path / "scan" / f"{name}-42.json").read_bytes()
+        assert scanned == verified(name, group)
+
+    @pytest.mark.parametrize("name, samples", [("reduction", "20"),
+                                               ("optimum-search", "2000")])
+    def test_tol_reaches_the_judged_tolerance(self, tmp_path, name, samples):
+        assert main(["scan", name, "--samples", samples, "--tol", "0.5",
+                     "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "scan" / f"{name}-42.json").read_text())
+        assert doc["tolerance"] == 0.5
+        assert doc["points_checked"] > 0
+
+    def test_tol_is_the_bridge_bound_and_leaves_fixed_checks_alone(self, tmp_path):
+        assert main(["scan", "bridge-gap", "--samples", "300", "--tol", "0.5",
+                     "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "scan" / "bridge-gap-42.json").read_text())
+        assert doc["details"]["bound"] == 0.5
+        assert doc["tolerance"] == 0.0
+        for name in ("family-sweep", "entropy-bridge"):
+            assert main(["scan", name, "--tol", "0.5", "--out", str(tmp_path)]) == 0
+            doc = json.loads((tmp_path / "scan" / f"{name}-42.json").read_text())
+            assert doc["tolerance"] == 0.0
+
+    def test_step_leaves_sampled_checks_and_threshold_to_their_own_grids(self, tmp_path):
+        # a sampled check reads --samples only, and threshold's beta grid
+        # moves with --beta only
+        flags = ["--samples", "300", "--step", "0.05", "--out", str(tmp_path)]
+        assert main(["scan", "union-bound", *flags]) == 0
+        assert main(["scan", "threshold", *flags]) == 0
+        union = json.loads((tmp_path / "scan" / "union-bound-42.json").read_text())
+        assert union["config"]["grid_step"] == CHECKS["union-bound"].cfg.grid_step
+        assert union["config"]["random_samples"] == 300
+        rows = json.loads((tmp_path / "scan" / "threshold-42.json").read_text())
+        assert rows["config"]["grid_step"] == CHECKS["threshold"].cfg.grid_step
+        assert main(["scan", "threshold", *flags, "--beta", "0.60:0.64:0.02"]) == 0
+        rows = json.loads((tmp_path / "scan" / "threshold-42.json").read_text())
+        assert [r["beta"] for r in rows["details"]["rows"]] == pytest.approx([0.60, 0.62, 0.64])
 
     def test_csv_format_flag(self, tmp_path):
         out = tmp_path / "r"

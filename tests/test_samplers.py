@@ -26,7 +26,7 @@ from entroset.kernel import (
     entropy_of_square,
     inverse_entropy_rate_arr,
 )
-from entroset.report import make_report, report_to_json
+from entroset.report import ScanConfig, make_report, report_to_json
 from entroset.scans import CHECKS
 
 from test_kernel import (
@@ -488,6 +488,7 @@ def test_subset_entropy_union_law_at_every_ground_size(ground_n, seed):
 
 @pytest.mark.parametrize("seed", [42, 7])
 def test_bridge_gap_report_is_the_oracle(seed, blocks):
-    got = scans.bridge_gap_scan(samples=300, seed=seed)
+    got = scans.bridge_gap_scan(
+        ScanConfig(random_samples=300, seed=seed, tolerance=scans.BRIDGE_TOL))
     want = oracle_bridge_gap(300, seed, scans.BRIDGE_TOL, blocks)
     assert report_text(got) == report_text(want)

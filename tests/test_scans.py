@@ -284,7 +284,7 @@ class TestScanReports:
         assert not make_report("demo", 0, math.inf, (), 1e-6).passed
 
     def test_empty_report_writes_standard_json(self):
-        r = bridge_gap_scan(samples=0)
+        r = bridge_gap_scan(ScanConfig(random_samples=0, seed=42, tolerance=BRIDGE_TOL))
         assert not r.passed
         text = json.dumps(report_to_json(r), allow_nan=False)
         assert json.loads(text)["min_margin"] is None
@@ -370,7 +370,7 @@ class TestScanEngines:
         assert reevaluate_witness(r) == pytest.approx(r.min_margin, abs=1e-12)
 
     def test_bridge_gap_scan(self):
-        r = bridge_gap_scan(samples=2000, seed=4)
+        r = bridge_gap_scan(ScanConfig(random_samples=2000, seed=4, tolerance=BRIDGE_TOL))
         assert r.passed
         assert r.min_margin >= 0.0
         assert r.details["bound"] == BRIDGE_TOL
