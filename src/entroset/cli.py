@@ -133,23 +133,12 @@ def _check_cfg(args, check: _scans.Check) -> ScanConfig | None:
     return replace(check.cfg, **kw)
 
 
-def _rows_drawn(r: ScanReport) -> int | None:
-    """Rows a rejection-sampling check drew, from its report: ``raw_draws``,
-    or the pairs times the rows drawn per pair for optimum-search; None for
-    a check that does not sample."""
-    if "raw_draws" in r.details:
-        return r.details["raw_draws"]
-    if "pairs" in r.details:
-        return r.details["pairs"] * r.config["random_samples"]
-    return None
-
-
 def _check_timing(r: ScanReport, elapsed: float) -> dict:
     """One manifest entry: where a check's time went, what share of the rows
-    it drew it kept (None for a check that does not sample, or drew none),
-    and how far its vector route was from the scalar certifier (None for a
-    check with one route)."""
-    drawn = _rows_drawn(r)
+    it drew it kept (None for a check whose report has no ``raw_draws``, or
+    drew none), and how far its vector route was from the scalar certifier
+    (None for a check with one route)."""
+    drawn = r.details.get("raw_draws")
     return {
         "name": r.name,
         "elapsed_s": elapsed,
@@ -409,6 +398,15 @@ def _sample_budgets() -> str:
     )
 
 
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value, refused unless finite and >= 0, by the rule and
+    with the message of :class:`ScanConfig`'s tolerance."""
+    try:
+        return ScanConfig(tolerance=float(text)).tolerance
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_check_flags(p: argparse.ArgumentParser) -> None:
     """The flags of the commands that run checks, verify-all and scan, each
     mapped onto a check's configuration by :func:`_check_cfg`."""
@@ -424,7 +422,7 @@ def _add_check_flags(p: argparse.ArgumentParser) -> None:
                    help=f"override the grid step of the curve checks ({curves}); "
                         "sampled checks ignore it, and threshold takes its beta "
                         "step from scan's --beta only")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_tolerance, default=None,
                    help="override the tolerance of every configured check (bridge-gap's "
                         "bound) and the residual bounds of kernel-roundtrip and "
                         "golden-anchor; family-sweep (exact), entropy-bridge (fixed "

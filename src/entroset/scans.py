@@ -261,16 +261,21 @@ def tail_rate_arr(z: np.ndarray) -> np.ndarray:
     return np.where(z == 0.0, 1.0, np.where(z == 1.0, 0.0, core))
 
 
+def _rate_alpha(alpha: float) -> float:
+    """``alpha`` as a float, checked to lie strictly inside (0, 1)."""
+    alpha = float(alpha)
+    if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
+        raise DomainError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
+    return alpha
+
+
 def composed_rate(alpha: float, x: float) -> float:
     """The map x -> f(alpha * g(x)): rescale the rate's preimage by alpha.
 
     Defined for 0 < alpha < 1 and x >= 0.  Convex and increasing in x, and
     asymptotically affine with unit slope as x grows.
     """
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
-    return entropy_rate(alpha * inverse_entropy_rate(x))
+    return entropy_rate(_rate_alpha(alpha) * inverse_entropy_rate(x))
 
 
 def composed_rate_slope(alpha: float, x: float) -> float:
@@ -279,9 +284,7 @@ def composed_rate_slope(alpha: float, x: float) -> float:
     Writing s = g(x), the chain rule collapses to
     log(1 - alpha s) / (alpha log(1 - s)); the log base cancels.
     """
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
+    alpha = _rate_alpha(alpha)
     s = inverse_entropy_rate(x)
     if s == 1.0:
         return 0.0
@@ -577,8 +580,8 @@ def _worst_rows(
     ``draw()`` returns one batch as ``(drawn, *batch)``: the number of rows
     drawn, then the batch's columns.  Each batch is drawn once and read by
     every consumer still short of rows, so consumers of one stream share
-    its draws: union-bound and product-bound read the level stream of
-    :func:`_draw_levels` this way.  A consumer that has its rows reads no
+    its draws: union-bound and product-bound, and threshold's betas, read
+    the level stream of :func:`_draw_levels` this way.  A consumer that has its rows reads no
     more batches, and its figures are those it would have alone.
 
     Returns ``(best, row, checked, drawn)`` per consumer: the least margin,
@@ -604,7 +607,8 @@ def _worst_rows(
             i = int(np.argmin(m))
             if float(m[i]) < t[0]:
                 t[0] = float(m[i])
-                t[1] = tuple(col[i] for col in kept)
+                # a copy: a view would keep the consumer's kept rows alive
+                t[1] = tuple(col[i].copy() for col in kept)
             t[2] += take
 
 
@@ -640,9 +644,7 @@ def scan_sq_ratio_scaled(cfg: ScanConfig) -> ScanReport:
 
 def scan_rate_convexity(alpha: float, cfg: ScanConfig) -> ScanReport:
     """Check convexity of x -> f(alpha g(x)) by second central differences."""
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and 0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie strictly inside (0, 1), got {alpha!r}")
+    alpha = _rate_alpha(alpha)
     if cfg.range_lo <= 0.0:
         raise PreconditionError("the convexity grid must stay strictly positive")
     xs = _grid(cfg)
@@ -722,15 +724,6 @@ def _finish_rows(counts, w, v) -> np.ndarray:
     return means
 
 
-def _sample_batch(rng: np.random.Generator, m: int, kmax: int = 6):
-    """``(counts, weights, values, means)`` for m random distributions of 1
-    to kmax atoms: the atom counts, weights and values zero-padded to kmax,
-    and the means.  :func:`_draw_rows` draws them and
-    :func:`_finish_rows` finishes them."""
-    counts, weights, values = _draw_rows(rng, m, kmax)
-    return counts, weights, values, _finish_rows(counts, weights, values)
-
-
 def _row_blocks(n: int) -> list[slice]:
     """Slices of at most ``_ROWS`` rows that cover ``range(n)``; one empty
     slice when n = 0, so that the columns kept from it are empty but keep
@@ -764,17 +757,22 @@ def _witness_atoms(w: np.ndarray, v: np.ndarray) -> tuple[tuple, tuple]:
 
 def _draw_levels(rng: np.random.Generator):
     """The level stream, as a ``draw`` for :func:`_worst_rows`: batches of
-    ``(counts, w, v, mean, u)``, with one uniform draw u per row.
+    ``(counts, w, v, mean, u)``, with one uniform draw u per row, for
+    distributions of 1 to 6 atoms.
 
-    union-bound and product-bound read this one stream.  Each maps the
-    shared u to a level of its own (:func:`_level_select`), so at equal
-    seeds one pass of :func:`_worst_rows` serves both, and verify-all
-    draws each batch once for the two.  A sampler that changes this
-    stream must keep one shared u per row, or drop the sharing on purpose.
+    union-bound, product-bound, bridge-gap and threshold read this one
+    stream.  Each maps the shared u to a level of its own
+    (:func:`_level_select`), so at equal seeds one pass of
+    :func:`_worst_rows` serves several: verify-all draws each batch once
+    for union-bound and product-bound, and threshold once for all its
+    betas.  Threshold's levels are fixed, so it ignores u.  A sampler that
+    changes this stream must keep one shared u per row, or drop the
+    sharing on purpose.
     """
 
     def draw():
-        counts, w, v, mean = _sample_batch(rng, _BATCH)
+        counts, w, v = _draw_rows(rng, _BATCH, 6)
+        mean = _finish_rows(counts, w, v)
         return _BATCH, counts, w, v, mean, rng.random(size=_BATCH)
 
     return draw
@@ -784,7 +782,7 @@ def _level_select(lo: float, hi: float, below: bool):
     """A consumer's ``select`` on the level stream: the rows, as
     ``(counts, w, v, level)`` in the order drawn, whose mean is at most
     their level, taken from (lo, hi] (``below``), or at least their level,
-    taken from [lo, hi)."""
+    taken from [lo, hi).  At lo = hi every level is exactly lo."""
     span = hi - lo
 
     def select(counts, w, v, mean, u):
@@ -922,13 +920,13 @@ def bridge_gap_scan(cfg: ScanConfig) -> ScanReport:
                          for row in zip(*columns)])
 
     select = _level_select(GOLDEN_THRESHOLD, 1.0, below=False)
-    [(best, row, checked, _)] = _worst_rows(
+    [(best, row, checked, drawn)] = _worst_rows(
         _draw_levels(rng), [_Consumer(cfg.random_samples, margins, select)]
     )
     return make_report(
         "bridge-gap", checked, best, _level_witness(row), 0.0,
         config={"random_samples": cfg.random_samples, "seed": cfg.seed},
-        details={"bound": cfg.tolerance},
+        details={"bound": cfg.tolerance, "raw_draws": drawn},
     )
 
 
@@ -942,20 +940,25 @@ def threshold_exploration(cfg: ScanConfig) -> ScanReport:
     """Map the product bound's margin across a band of thresholds.
 
     For each beta on the grid this sweeps the two-point family
-    {(beta/v, v), (1 - beta/v, 0)} over v in [beta, 1) and a seeded batch
-    of random distributions with mean >= beta, recording the worst margin
-    per beta WITHOUT enforcing the golden threshold.  Exploratory: the
-    report always passes; negative margins below the threshold are the
-    interesting output, not a failure.
+    {(beta/v, v), (1 - beta/v, 0)} over v in [beta, 1) and cfg.random_samples
+    rows of the level stream with mean >= beta, recording the worst margin
+    per beta WITHOUT enforcing the golden threshold.  One pass of the
+    stream serves every beta.  Exploratory: the report always passes;
+    negative margins below the threshold are the interesting output, not a
+    failure.
     """
     rng = np.random.default_rng(cfg.seed)
-    betas = _grid(cfg)
+    betas = [float(beta) for beta in _grid(cfg)]
+    tallies = _worst_rows(_draw_levels(rng), [
+        _Consumer(cfg.random_samples, _product_margins_arr,
+                  _level_select(beta, beta, below=False))
+        for beta in betas
+    ])
     rows = []
     total = 0
     global_best = math.inf
     global_witness: tuple = ()
-    for beta in betas:
-        beta = float(beta)
+    for beta, (sampled, row, got, _) in zip(betas, tallies):
         ratio = entropy_of_square(beta) / binary_entropy(beta)
         vs = np.linspace(beta, 1.0 - 1e-6, 2001)
         q = beta / vs
@@ -968,16 +971,6 @@ def threshold_exploration(cfg: ScanConfig) -> ScanReport:
             beta,
             (qstar, 1.0 - qstar) if qstar < 1.0 else (1.0,),
             (vstar, 0.0) if qstar < 1.0 else (vstar,),
-        )
-
-        def select(counts, w, v, mean):
-            keep = np.flatnonzero(mean >= beta)
-            rows = (np.take(c, keep, axis=0) for c in (counts, w, v))
-            return (*rows, np.full(keep.size, beta))
-
-        [(sampled, row, got, _)] = _worst_rows(
-            lambda: (_BATCH, *_sample_batch(rng, _BATCH)),
-            [_Consumer(cfg.random_samples, _product_margins_arr, select)],
         )
         if sampled < row_best:
             row_witness = _level_witness(row)
@@ -1207,6 +1200,7 @@ def optimum_search_scan(cfg: ScanConfig, pairs: int = 100) -> ScanReport:
         "qualified_candidates": qualified,
         "slack": 1e-4,
         "pair_level_min_margin": pair_undercut,
+        "raw_draws": pairs * cfg.random_samples,
     }
     return _certified(
         "optimum-search", qualified, best, best_witness, cfg.tolerance,
@@ -1690,9 +1684,14 @@ def run_named_scans(
     :func:`run_named_scan` reads them.  When union-bound and product-bound
     both run at one seed, one pass over their shared level stream
     (:func:`level_scans`) makes both reports.  Each is still yielded in
-    its own place, and both carry the seconds of that one pass.
+    its own place, and both carry the seconds of that one pass.  A check
+    listed twice raises ValueError.
     """
     cfgs = {name: _run_cfg(_check(name), cfg, tol) for name, cfg in runs}
+    names = [name for name, _ in runs]
+    repeated = [name for name in cfgs if names.count(name) > 1]
+    if repeated:
+        raise ValueError(f"check {repeated[0]!r} is listed more than once")
     shared = [name for name in _LEVEL_CHECKS if name in cfgs]
     if len(shared) < 2 or len({cfgs[name].seed for name in shared}) > 1:
         shared = []

@@ -95,6 +95,40 @@ class TestVerifyAll:
         assert rc == 1
         assert "[FAIL]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-all", "--only", "kernel", "--tol", "-1"],
+        ["scan", "kernel-roundtrip", "--tol", "nan"],
+        ["scan", "golden-anchor", "--tol", "inf"],
+    ], ids=["negative", "nan", "inf"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tmp_path, capsys, argv):
+        # the kernel checks read --tol as raw residual bounds, so it is
+        # refused where it is parsed, by ScanConfig's rule
+        out = tmp_path / "r"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "tolerance must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_alpha_reaches_rate_convexity_alone(self, tmp_path, verified):
+        out = tmp_path / "r"
+        assert main(["verify-all", "--only", "scans", *SAME_FLAGS, "--alpha", "0.25",
+                     "--out", str(out)]) == 0
+        assert main(["scan", "rate-convexity", *SAME_FLAGS, "--alpha", "0.25",
+                     "--out", str(out)]) == 0
+        scanned = (out / "scan" / "rate-convexity-42.json").read_bytes()
+        assert json.loads(scanned)["config"]["alpha"] == 0.25
+        for c in CHECKS.values():
+            if c.group == "scans":
+                got = (out / "verify-all" / f"{c.name}-42.json").read_bytes()
+                if c.name == "rate-convexity":
+                    assert got == scanned != verified(c.name, "scans")
+                else:
+                    assert got == verified(c.name, "scans")
+
+    @pytest.mark.parametrize("alpha", ["1.5", "nan"])
+    def test_alpha_outside_the_unit_interval_is_an_error(self, tmp_path, alpha):
+        assert main(["scan", "rate-convexity", "--alpha", alpha,
+                     "--out", str(tmp_path)]) == 2
+
     def test_bad_group_is_usage_error(self, tmp_path):
         assert main(["verify-all", "--only", "nope", "--out", str(tmp_path)]) == 2
 
@@ -138,9 +172,20 @@ class TestVerifyAll:
         (timing,) = json.loads(
             (out / "scan" / "optimum-search-42.manifest.json").read_text())["checks"]
         report = json.loads((out / "scan" / "optimum-search-42.json").read_text())
-        assert timing["accept_ratio"] == report["points_checked"] / (
-            report["details"]["pairs"] * 2000)
+        assert report["details"]["raw_draws"] == report["details"]["pairs"] * 2000
+        assert timing["accept_ratio"] == report["points_checked"] / report["details"]["raw_draws"]
         assert 0.0 < timing["accept_ratio"] < 1.0
+        # bridge-gap keeps the level-stream rows at levels from the golden
+        # threshold up; threshold's betas share one draw, so it has no ratio
+        assert main(["verify-all", "--only", "scans", "--samples", "300",
+                     "--step", "0.05", "--out", str(out)]) == 0
+        checks = {c["name"]: c for c in
+                  json.loads((d / "all-42.manifest.json").read_text())["checks"]}
+        report = json.loads((d / "bridge-gap-42.json").read_text())
+        ratio = checks["bridge-gap"]["accept_ratio"]
+        assert ratio == report["points_checked"] / report["details"]["raw_draws"]
+        assert 0.0 < ratio < 1.0
+        assert checks["threshold"]["accept_ratio"] is None
 
     @pytest.mark.parametrize("seed", ["42", "7"])
     def test_shared_level_pass_writes_the_lone_scans_reports(self, tmp_path, capsys, seed):

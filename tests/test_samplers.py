@@ -8,6 +8,7 @@ matrix product for the subset marginals.  They make the same RNG calls,
 so every kept row, margin and report must come out the same, bit for bit.
 """
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -97,17 +98,28 @@ def oracle_worst_rows(needed, draw, margins):
     return best, row, checked, drawn
 
 
-def oracle_level_draw(rng, lo, hi, below, batch):
-    span = hi - lo
+def oracle_level_stream(rng, batch):
+    """The level stream, a whole batch at a time: ``(w, v, mean, u)``."""
 
     def draw():
         w, v = oracle_sample_batch(rng, batch)
         u = rng.uniform(size=batch)
-        level = hi - span * u if below else lo + span * u
-        mean = np.einsum("ij,ij->i", w, v)
-        return (mean <= level if below else mean >= level), w, v, level
+        return w, v, np.einsum("ij,ij->i", w, v), u
 
     return draw
+
+
+def oracle_levels(batch, lo, hi, below):
+    """``(keep, w, v, level)`` of a level-stream batch at levels from lo to hi."""
+    w, v, mean, u = batch
+    span = hi - lo
+    level = hi - span * u if below else lo + span * u
+    return (mean <= level if below else mean >= level), w, v, level
+
+
+def oracle_level_draw(rng, lo, hi, below, batch):
+    stream = oracle_level_stream(rng, batch)
+    return lambda: oracle_levels(stream(), lo, hi, below)
 
 
 def oracle_level_witness(row):
@@ -171,6 +183,7 @@ def oracle_optimum_search(cfg, pairs):
         "qualified_candidates": qualified,
         "slack": 1e-4,
         "pair_level_min_margin": pair_undercut,
+        "raw_draws": pairs * cfg.random_samples,
     }
     return scans._certified(
         "optimum-search", qualified, best, best_witness, 0.0,
@@ -179,11 +192,30 @@ def oracle_optimum_search(cfg, pairs):
 
 
 def oracle_threshold(cfg, batch):
-    rng = np.random.default_rng(cfg.seed)
+    """The threshold report, and per beta the sampled ``(best, row, checked)``.
+
+    Every beta reads the same whole batches of one level stream, each
+    drawn once, as many as the beta that needs most of them reads.
+    """
+    stream = oracle_level_stream(np.random.default_rng(cfg.seed), batch)
+    batches = []
+
+    def level_draw(beta):
+        read = itertools.count()
+
+        def draw():
+            i = next(read)
+            if i == len(batches):
+                batches.append(stream())
+            return oracle_levels(batches[i], beta, beta, False)
+
+        return draw
+
     rows = []
     total = 0
     global_best = math.inf
     global_witness = ()
+    tallies = []
     for beta in scans._grid(cfg):
         beta = float(beta)
         ratio = entropy_of_square(beta) / binary_entropy(beta)
@@ -199,17 +231,11 @@ def oracle_threshold(cfg, batch):
             (qstar, 1.0 - qstar) if qstar < 1.0 else (1.0,),
             (vstar, 0.0) if qstar < 1.0 else (vstar,),
         )
-
-        def draw():
-            w, v = oracle_sample_batch(rng, batch)
-            return np.einsum("ij,ij->i", w, v) >= beta, w, v
-
-        def margins(w, v):
-            return oracle_product_margins(w, v, np.full(w.shape[0], beta))
-
-        sampled, row, got, _ = oracle_worst_rows(cfg.random_samples, draw, margins)
+        sampled, row, got, _ = oracle_worst_rows(
+            cfg.random_samples, level_draw(beta), oracle_product_margins)
+        tallies.append((sampled, row, got))
         if sampled < row_best:
-            row_witness = (beta, *scans._witness_atoms(*row))
+            row_witness = oracle_level_witness(row)
         row_points = vs.size + got
         total += row_points
         certified = scans._threshold_margin(row_witness)
@@ -226,7 +252,7 @@ def oracle_threshold(cfg, batch):
         "threshold", total, global_best, global_witness, cfg.tolerance,
         config=scans._config_dict(cfg), details={"rows": rows},
     )
-    return replace(report, passed=True)
+    return replace(report, passed=True), tallies
 
 
 def oracle_bridge_gap(samples, seed, bound, batch):
@@ -236,12 +262,13 @@ def oracle_bridge_gap(samples, seed, bound, batch):
         return np.array([scans._bridge_margin(bound, oracle_level_witness(row))
                          for row in zip(w, v, beta)])
 
-    best, row, checked, _ = oracle_worst_rows(
+    best, row, checked, drawn = oracle_worst_rows(
         samples, oracle_level_draw(rng, GOLDEN_THRESHOLD, 1.0, False, batch), margins
     )
     return make_report(
         "bridge-gap", checked, best, oracle_level_witness(row), 0.0,
-        config={"random_samples": samples, "seed": seed}, details={"bound": bound},
+        config={"random_samples": samples, "seed": seed},
+        details={"bound": bound, "raw_draws": drawn},
     )
 
 
@@ -314,7 +341,8 @@ def report_text(report) -> str:
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("kmax, m", [(6, 65536), (3, 20_000), (6, 4097), (3, 1), (6, 0)])
 def test_sample_batch_is_the_oracle(seed, kmax, m):
-    counts, w, v, means = scans._sample_batch(np.random.default_rng(seed), m, kmax)
+    counts, w, v = scans._draw_rows(np.random.default_rng(seed), m, kmax)
+    means = scans._finish_rows(counts, w, v)
     want_w, want_v = oracle_sample_batch(np.random.default_rng(seed), m, kmax)
     assert_same_bits(w, want_w)
     assert_same_bits(v, want_v)
@@ -458,11 +486,27 @@ SMALL = {
 
 @pytest.mark.parametrize("seed", [42, 7])
 @pytest.mark.parametrize("name", sorted(SMALL))
-def test_sampled_reports_are_the_oracle(name, seed, blocks):
+def test_sampled_reports_are_the_oracle(name, seed, blocks, monkeypatch):
     cfg = replace(CHECKS[name].cfg, seed=seed, random_samples=SMALL[name])
     if name == "threshold":
         cfg = replace(cfg, grid_step=0.05)
-        got, want = scans.threshold_exploration(cfg), oracle_threshold(cfg, blocks)
+        # the two-point sweep may set every row's minimum, so the sampled
+        # half is compared through the tallies of the one sampling pass
+        passes = []
+        worst_rows = scans._worst_rows
+        monkeypatch.setattr(scans, "_worst_rows",
+                            lambda *a: passes.append(worst_rows(*a)) or passes[-1])
+        got = scans.threshold_exploration(cfg)
+        want, sampled = oracle_threshold(cfg, blocks)
+        [tallies] = passes
+        assert len(tallies) == len(sampled) == scans._grid(cfg).size
+        for (best, row, checked, _), (want_best, want_row, want_checked) in zip(tallies, sampled):
+            assert best == want_best
+            assert checked == want_checked == SMALL[name]
+            for column, want_column in zip(row[1:], want_row):
+                assert_same_bits(np.asarray(column), np.asarray(want_column))
+            # the kept row owns its data, so no batch's rows outlive the pass
+            assert all(np.asarray(column).base is None for column in row)
     elif name == "optimum-search":
         got = scans.optimum_search_scan(cfg, pairs=8)
         want = oracle_optimum_search(cfg, pairs=8)
@@ -484,6 +528,18 @@ def test_subset_entropy_union_law_at_every_ground_size(ground_n, seed):
     got = scans.subset_entropy_scan(cfg, ground_n)
     assert got.points_checked > 0
     assert report_text(got) == report_text(oracle_subset_entropy(cfg, ground_n))
+
+
+def test_threshold_draws_one_batch_for_all_its_levels(monkeypatch):
+    # at its registry config threshold keeps 10,000 rows at each of 16 betas
+    calls = []
+    draw_rows = scans._draw_rows
+    monkeypatch.setattr(scans, "_draw_rows",
+                        lambda rng, m, kmax: calls.append(m) or draw_rows(rng, m, kmax))
+    cfg = CHECKS["threshold"].cfg
+    report = scans.threshold_exploration(cfg)
+    assert calls == [scans._BATCH]
+    assert [r["points"] for r in report.details["rows"]] == [2001 + cfg.random_samples] * 16
 
 
 @pytest.mark.parametrize("seed", [42, 7])

@@ -43,6 +43,7 @@ from entroset.scans import (
     reduction_consistency_scan,
     reevaluate_witness,
     run_named_scan,
+    run_named_scans,
     _Consumer,
     _worst_rows,
     scan_rate_convexity,
@@ -321,6 +322,17 @@ class TestScanEngines:
     def test_unknown_scan_name_rejected(self):
         with pytest.raises(ValueError):
             run_named_scan("nope")
+
+    @pytest.mark.parametrize("runs", [
+        [("sq-ratio", {"grid_step": 1e-2}), ("sq-ratio", {"grid_step": 1e-3})],
+        [("union-bound", {}), ("product-bound", {}), ("union-bound", {"seed": 7})],
+    ], ids=["grid-check", "shared-level-pass"])
+    def test_repeated_check_is_refused(self, runs):
+        # configs are keyed by name, so every copy would run with the last
+        # copy's config
+        runs = [(name, small_cfg(name, **kw)) for name, kw in runs]
+        with pytest.raises(ValueError, match=f"{runs[0][0]!r} is listed more than once"):
+            list(run_named_scans(runs))
 
     def test_rate_convexity_alpha_is_recorded(self):
         r = scan_rate_convexity(0.25, small_cfg("rate-convexity"))
