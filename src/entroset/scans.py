@@ -140,9 +140,11 @@ __all__ = [
     "SCAN_NAMES",
 ]
 
-#: Sample rows drawn per batch inside the randomized engines.  Each engine
-#: makes its RNG calls batch by batch, in a fixed order and with fixed
-#: shapes, so this size is part of every sampled report's byte-stability.
+#: Rows per batch of the level stream (:func:`_draw_levels`).  Its RNG
+#: calls are made batch by batch, in a fixed order and with fixed shapes,
+#: so this size is part of the byte-stability of every report that reads
+#: the stream.  optimum-search draws all its rows in one batch instead,
+#: and subset-entropy in batches of its own.
 _BATCH = 65536
 
 #: Rows per block when an engine works through a drawn batch, so that the
@@ -581,8 +583,9 @@ def _worst_rows(
     drawn, then the batch's columns.  Each batch is drawn once and read by
     every consumer still short of rows, so consumers of one stream share
     its draws: union-bound and product-bound, and threshold's betas, read
-    the level stream of :func:`_draw_levels` this way.  A consumer that has its rows reads no
-    more batches, and its figures are those it would have alone.
+    the level stream of :func:`_draw_levels` this way.  A consumer that
+    has its rows reads no more batches, and its figures are those it would
+    have alone.
 
     Returns ``(best, row, checked, drawn)`` per consumer: the least margin,
     that row's entry in each column (``()`` when nothing was kept), the
@@ -598,18 +601,27 @@ def _worst_rows(
         batch_drawn, *batch = draw()
         for c, t in reading:
             t[3] += batch_drawn
-            columns = batch if c.select is None else c.select(*batch)
-            if not len(columns[0]):
-                continue
-            take = min(len(columns[0]), c.needed - t[2])
-            kept = [col[:take] for col in columns]
-            m = c.margins(*kept)
-            i = int(np.argmin(m))
-            if float(m[i]) < t[0]:
-                t[0] = float(m[i])
-                # a copy: a view would keep the consumer's kept rows alive
-                t[1] = tuple(col[i].copy() for col in kept)
-            t[2] += take
+            _read_batch(c, t, batch)
+        # dropped before the next draw, so one batch is alive at a time
+        del batch
+
+
+def _read_batch(c: _Consumer, tally: list, batch: list) -> None:
+    """Update a consumer's ``[best, row, checked, drawn]`` tally with the
+    rows it keeps of one batch.  Its kept rows go when this returns, before
+    the next consumer selects its own."""
+    columns = batch if c.select is None else c.select(*batch)
+    if not len(columns[0]):
+        return
+    take = min(len(columns[0]), c.needed - tally[2])
+    kept = [col[:take] for col in columns]
+    m = c.margins(*kept)
+    i = int(np.argmin(m))
+    if float(m[i]) < tally[0]:
+        tally[0] = float(m[i])
+        # a copy: a view would keep the consumer's kept rows alive
+        tally[1] = tuple(col[i].copy() for col in kept)
+    tally[2] += take
 
 
 # ----------------------------------------------------------------------
@@ -761,13 +773,16 @@ def _draw_levels(rng: np.random.Generator):
     distributions of 1 to 6 atoms.
 
     union-bound, product-bound, bridge-gap and threshold read this one
-    stream.  Each maps the shared u to a level of its own
-    (:func:`_level_select`), so at equal seeds one pass of
+    stream.  Each maps the shared u, given the row's mean, to a level of
+    its own (:func:`_level_select`), so at equal seeds one pass of
     :func:`_worst_rows` serves several: verify-all draws each batch once
     for union-bound and product-bound, and threshold once for all its
     betas.  Threshold's levels are fixed, so it ignores u.  A sampler that
     changes this stream must keep one shared u per row, or drop the
     sharing on purpose.
+
+    Per batch the RNG calls are those of :func:`_draw_rows` for ``_BATCH``
+    rows of up to six atoms, then one uniform u per row.
     """
 
     def draw():
@@ -782,12 +797,25 @@ def _level_select(lo: float, hi: float, below: bool):
     """A consumer's ``select`` on the level stream: the rows, as
     ``(counts, w, v, level)`` in the order drawn, whose mean is at most
     their level, taken from (lo, hi] (``below``), or at least their level,
-    taken from [lo, hi).  At lo = hi every level is exactly lo."""
-    span = hi - lo
+    taken from [lo, hi).
+
+    Each row's level is drawn given its mean, from the part of the range
+    the mean allows: with m the mean clipped to [lo, hi], the union side
+    takes hi - (hi - m) u and the product side lo + (m - lo) u, from the
+    row's shared u.  So a row is kept whenever some level in the range
+    admits it, and its level is uniform over those that do.  A level that
+    rounds onto the open end is moved one float inside.  At lo = hi every
+    level is exactly lo, and the kept rows are those with mean >= lo.
+    """
 
     def select(counts, w, v, mean, u):
-        level = hi - span * u if below else lo + span * u
-        keep = np.flatnonzero(mean <= level if below else mean >= level)
+        m = np.clip(mean, lo, hi)
+        if below:
+            level = np.maximum(hi - (hi - m) * u, np.nextafter(lo, hi))
+            keep = np.flatnonzero(mean <= level)
+        else:
+            level = np.minimum(lo + (m - lo) * u, np.nextafter(hi, lo))
+            keep = np.flatnonzero(mean >= level)
         return tuple(np.take(c, keep, axis=0) for c in (counts, w, v, level))
 
     return select
@@ -1111,75 +1139,109 @@ def _matching_candidates(w, v, t: float, u: float) -> tuple:
 _SCREEN_GUARD = 1e-9
 
 
-def _screen_candidates(counts, w, v, t: float, u: float) -> np.ndarray:
-    """The rows of a raw batch (:func:`_draw_rows`) that may match the
-    search pair (t, u), as indices in the order drawn.
+@dataclass(frozen=True)
+class _SearchBatch:
+    """optimum-search's one batch of finished rows (:func:`_finish_rows`),
+    reordered in place by atom count and, within a count, by ``cap``.
 
-    They include every row that :func:`_matching_candidates` keeps once
-    the batch is finished.  A single-atom row rescales to a point mass at
-    t, up to rounding, so those rows pass as a group, and only when
-    |H(t) - u| is within the window.  Every other row is screened on its
-    live columns, k-atom rows together and in row blocks: its rescaled
-    mean is min(t, mean / top), and its entropy is taken only when that
-    mean passes.  Both windows are widened by ``_SCREEN_GUARD``, and a row
+    ``order[i]`` is the draw index of row i, and ``spans[k - 1]`` the slice
+    of the k-atom rows.  Per row, ``top`` is its largest value (at least
+    1e-300), and ``cap`` = mean / top the mean it reaches when its values
+    are rescaled as far as they may go.  None of them depends on the
+    search pair.
+    """
+
+    w: np.ndarray
+    v: np.ndarray
+    order: np.ndarray
+    top: np.ndarray
+    cap: np.ndarray
+    spans: tuple[slice, ...]
+
+
+def _search_batch(counts, w, v) -> _SearchBatch:
+    """Finish raw rows (:func:`_draw_rows`) and lay them out as a
+    :class:`_SearchBatch`, in place and a column at a time."""
+    cap = _finish_rows(counts, w, v)
+    top = _column_max(v)
+    np.maximum(top, 1e-300, out=top)
+    cap /= top
+    order = np.lexsort((cap, counts))
+    top = np.take(top, order)
+    cap = np.take(cap, order)
+    for a in (w, v):
+        for j in range(a.shape[1]):
+            # indexing copies only its output; np.take would also copy
+            # the strided column it reads
+            a[:, j] = a[:, j][order]
+    ends = np.cumsum(np.bincount(counts, minlength=w.shape[1] + 1))
+    spans = tuple(slice(int(ends[k - 1]), int(ends[k])) for k in range(1, w.shape[1] + 1))
+    return _SearchBatch(w, v, order, top, cap, spans)
+
+
+def _screen_candidates(batch: _SearchBatch, t: float, u: float) -> np.ndarray:
+    """The rows of ``batch`` that may match the search pair (t, u), as
+    positions in the batch, in the order drawn.
+
+    They include every row that :func:`_matching_candidates` keeps.  A
+    single-atom row rescales to a point mass at t, up to rounding, so those
+    rows pass as a group, and only when |H(t) - u| is within the window.
+    Every other row is screened on its live columns: its rescaled mean is
+    min(t, cap), so the k-atom rows that pass it are those from the first
+    with cap >= t - window on.  Their entropies are taken in row blocks,
+    with the scale min(t / cap, 1) / top, a few ulps from the exact
+    route's.  Both windows are widened by ``_SCREEN_GUARD``, and a row
     whose figures are NaN passes.
     """
     window = 1e-3 + _SCREEN_GUARD
-    found = []
-    if abs(binary_entropy(t) - u) <= window:
-        found.append(np.flatnonzero(counts == 1))
-    for k in range(2, w.shape[1] + 1):
-        rows = np.flatnonzero(counts == k)
-        for b in _row_blocks(rows.size):
-            rb = rows[b]
-            wk = np.take(w, rb, axis=0)[:, :k]
-            vk = np.take(v, rb, axis=0)[:, :k]
-            total = _column_sum(wk)
-            top = np.maximum(_column_max(vk), 1e-300)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mean = _column_sum(wk * vk) / total
-                off = np.abs(np.minimum(t, mean / top) - t)
-                near = np.flatnonzero(~(off > window))
-                scale = np.minimum(t / mean[near], 1.0 / top[near])
-                hv = binary_entropy_arr(np.take(vk, near, axis=0) * scale[:, None])
-                ents = _column_sum(np.take(wk, near, axis=0) * hv) / total[near]
-            found.append(rb[near[~(np.abs(ents - u) > window)]])
-    return np.sort(np.concatenate(found))
+    single, *spans = batch.spans
+    if abs(binary_entropy(t) - u) > window:
+        single = slice(0, 0)
+    found = [np.arange(single.start, single.stop)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, span in enumerate(spans, 2):
+            start = span.start + int(np.searchsorted(batch.cap[span], t - window))
+            for i in range(start, span.stop, _ROWS):
+                b = slice(i, min(i + _ROWS, span.stop))
+                scale = np.minimum(t / batch.cap[b], 1.0) / batch.top[b]
+                hv = binary_entropy_arr(batch.v[b, :k] * scale[:, None])
+                ents = _column_sum(batch.w[b, :k] * hv)
+                found.append(i + np.flatnonzero(~(np.abs(ents - u) > window)))
+    rows = np.concatenate(found)
+    return rows[np.argsort(batch.order[rows])]
 
 
-def _pair_candidates(rng: np.random.Generator, m: int, t: float, u: float) -> tuple:
-    """The candidates of one search pair among m rows of up to three atoms
-    drawn from ``rng``: the rows that pass :func:`_screen_candidates` are
-    finished and go through :func:`_matching_candidates`."""
-    counts, w, v = _draw_rows(rng, m, 3)
-    rows = _screen_candidates(counts, w, v, t, u)
-    counts, w, v = (np.take(c, rows, axis=0) for c in (counts, w, v))
-    _finish_rows(counts, w, v)
-    return _matching_candidates(w, v, t, u)
+def _pair_candidates(batch: _SearchBatch, t: float, u: float) -> tuple:
+    """The candidates of one search pair in ``batch``: the rows that pass
+    :func:`_screen_candidates` go through :func:`_matching_candidates`."""
+    rows = _screen_candidates(batch, t, u)
+    return _matching_candidates(np.take(batch.w, rows, axis=0),
+                                np.take(batch.v, rows, axis=0), t, u)
 
 
 def optimum_search_scan(cfg: ScanConfig, pairs: int = 100) -> ScanReport:
     """Random search for joint entropies below the closed-form optimum.
 
-    For each (t, u) pair this draws cfg.random_samples candidate
-    distributions of up to three atoms (values rescaled toward mean t to
-    boost the hit rate), keeps the ones matching the pair within 1e-3 in
-    both mean and expected entropy (a screen drops most of the others
-    first, see :func:`_pair_candidates`), and verifies none undercuts the
-    certificate at its own moments by more than 1e-4.  The loosest
-    undercut relative to the pair's optimum is recorded in details; that
-    figure legitimately drifts with the matching box and is not judged.
+    This draws cfg.random_samples candidate distributions of up to three
+    atoms once, then ``pairs`` search pairs (t, u), each as two uniform
+    draws.  Each pair reads the whole batch: it rescales every row's values
+    toward mean t (to boost the hit rate), keeps the rows matching the pair
+    within 1e-3 in both mean and expected entropy (a screen drops most of
+    the others first, see :func:`_pair_candidates`), and verifies none
+    undercuts the certificate at its own moments by more than 1e-4.
+
+    ``details.raw_draws`` is pairs x random_samples: the candidates
+    screened, though each row is drawn once.
     """
     rng = np.random.default_rng(cfg.seed)
+    batch = _search_batch(*_draw_rows(rng, cfg.random_samples, 3))
     best = math.inf
     best_witness: tuple = ()
-    pair_undercut = math.inf
     qualified = 0
     for _ in range(pairs):
         t = float(rng.uniform(0.05, 0.95))
         u = float((1.0 - rng.random()) * binary_entropy(t))
-        cert = joint_entropy_optimum(t, u)
-        w2, v2, m2, e2 = _pair_candidates(rng, cfg.random_samples, t, u)
+        w2, v2, m2, e2 = _pair_candidates(batch, t, u)
         if not m2.size:
             continue
         pair = _product_pairs(v2)
@@ -1190,7 +1252,6 @@ def optimum_search_scan(cfg: ScanConfig, pairs: int = 100) -> ScanReport:
         own_opt = m2 * m2 * entropy_of_square_arr(own_v) / (own_v * own_v)
         margins = joints - (own_opt - 1e-4)
         i = int(np.argmin(margins))
-        pair_undercut = min(pair_undercut, float(np.min(joints) - (cert.optimum - 1e-4)))
         if float(margins[i]) < best:
             best = float(margins[i])
             ws, vs = _witness_atoms(w2[i], v2[i])
@@ -1199,7 +1260,6 @@ def optimum_search_scan(cfg: ScanConfig, pairs: int = 100) -> ScanReport:
         "pairs": pairs,
         "qualified_candidates": qualified,
         "slack": 1e-4,
-        "pair_level_min_margin": pair_undercut,
         "raw_draws": pairs * cfg.random_samples,
     }
     return _certified(
@@ -1685,8 +1745,12 @@ def run_named_scans(
     both run at one seed, one pass over their shared level stream
     (:func:`level_scans`) makes both reports.  Each is still yielded in
     its own place, and both carry the seconds of that one pass.  A check
-    listed twice raises ValueError.
+    listed twice, or a ``tol`` that is not finite and >= 0, raises
+    ValueError.
     """
+    if tol is not None:
+        # ScanConfig's rule, also for the checks that take no config
+        ScanConfig(tolerance=tol)
     cfgs = {name: _run_cfg(_check(name), cfg, tol) for name, cfg in runs}
     names = [name for name, _ in runs]
     repeated = [name for name in cfgs if names.count(name) > 1]

@@ -117,9 +117,7 @@ def test_criterion_5_optimum_not_beaten():
         5, ok,
         f"100 pairs x 2e5 candidates, {d['qualified_candidates']} matching "
         f"within 1e-3: none beats the certificate at its own moments by the "
-        f"1e-4 slack (worst {report.min_margin:.3e}); comparing against the "
-        f"pair's optimum instead drifts to {d['pair_level_min_margin']:.3e} "
-        f"because the optimum moves O(1e-3) across the matching box "
+        f"1e-4 slack (worst {report.min_margin:.3e}) "
         f"[{time.perf_counter() - started:.2f}s]",
     )
     assert ok, line

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entroset import kernel, scans
-from entroset.distribution import joint_entropy_optimum
 from entroset.kernel import (
     FREQUENCY_BOUND,
     GOLDEN_THRESHOLD,
@@ -110,11 +109,18 @@ def oracle_level_stream(rng, batch):
 
 
 def oracle_levels(batch, lo, hi, below):
-    """``(keep, w, v, level)`` of a level-stream batch at levels from lo to hi."""
+    """``(keep, w, v, level)`` of a level-stream batch at levels from lo to
+    hi, each row's level drawn from [a, b], the levels its mean admits,
+    then kept off the open end of the range."""
     w, v, mean, u = batch
-    span = hi - lo
-    level = hi - span * u if below else lo + span * u
-    return (mean <= level if below else mean >= level), w, v, level
+    admitted = np.clip(mean, lo, hi)
+    if below:
+        a, b = admitted, hi
+        level = np.maximum(b - (b - a) * u, np.nextafter(lo, hi))
+        return mean <= level, w, v, level
+    a, b = lo, admitted
+    level = np.minimum(a + (b - a) * u, np.nextafter(hi, lo))
+    return mean >= level, w, v, level
 
 
 def oracle_level_draw(rng, lo, hi, below, batch):
@@ -154,16 +160,15 @@ def oracle_pair_filter(w, v, t, u):
 
 
 def oracle_optimum_search(cfg, pairs):
+    """One whole batch drawn first, then every pair filters all of it."""
     rng = np.random.default_rng(cfg.seed)
     best = math.inf
     best_witness = ()
-    pair_undercut = math.inf
     qualified = 0
+    w, v = oracle_sample_batch(rng, cfg.random_samples, kmax=3)
     for _ in range(pairs):
         t = float(rng.uniform(0.05, 0.95))
         u = float((1.0 - rng.uniform()) * binary_entropy(t))
-        cert = joint_entropy_optimum(t, u)
-        w, v = oracle_sample_batch(rng, cfg.random_samples, kmax=3)
         w2, v2, m2, e2 = oracle_pair_filter(w, v, t, u)
         if not w2.shape[0]:
             continue
@@ -174,7 +179,6 @@ def oracle_optimum_search(cfg, pairs):
         own_opt = m2 * m2 * oracle_entropy_of_square_arr(own_v) / (own_v * own_v)
         margins = joints - (own_opt - 1e-4)
         i = int(np.argmin(margins))
-        pair_undercut = min(pair_undercut, float(np.min(joints) - (cert.optimum - 1e-4)))
         if float(margins[i]) < best:
             best = float(margins[i])
             best_witness = (t, u, *scans._witness_atoms(w2[i], v2[i]))
@@ -182,7 +186,6 @@ def oracle_optimum_search(cfg, pairs):
         "pairs": pairs,
         "qualified_candidates": qualified,
         "slack": 1e-4,
-        "pair_level_min_margin": pair_undercut,
         "raw_draws": pairs * cfg.random_samples,
     }
     return scans._certified(
@@ -375,16 +378,63 @@ def test_kept_level_rows_and_margins_are_the_oracle(seed, below, blocks):
         assert_same_bits(got, want)
 
 
+@st.composite
+def level_cases(draw):
+    """A level range lo < hi, and rows whose means sit on, next to or
+    between its ends, with u near 0, near 1 or anywhere in [0, 1)."""
+    lo, hi = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True)))
+    ends = [lo, hi, np.nextafter(lo, 1.0), np.nextafter(lo, 0.0),
+            np.nextafter(hi, 1.0), np.nextafter(hi, 0.0), 0.0, 1.0]
+    n = draw(st.integers(1, 30))
+    mean = draw(st.lists(st.sampled_from(ends) | st.floats(0.0, 1.0), min_size=n, max_size=n))
+    u = draw(st.lists(st.sampled_from([0.0, 1.0 - 2.0**-53, 1.0 - 2.0**-52, 1.0 - 1e-9])
+                      | st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n))
+    return lo, hi, np.array(mean), np.array(u)
+
+
+@settings(max_examples=500, deadline=None)
+@given(level_cases(), st.booleans())
+def test_kept_levels_admit_their_rows(case, below):
+    lo, hi, mean, u = case
+    tags = np.arange(mean.size)
+    tag, _, _, level = scans._level_select(lo, hi, below)(
+        tags, np.zeros((mean.size, 1)), np.zeros((mean.size, 1)), mean, u)
+    kept = mean[tag]
+    if below:
+        assert np.all((kept <= level) & (level <= hi) & (level > lo))
+    else:
+        assert np.all((lo <= level) & (level <= kept) & (level < hi))
+    # a row whose mean is at the admitting end of the range is kept
+    assert set(np.flatnonzero(mean == (lo if below else hi))) <= set(tag)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+@pytest.mark.parametrize("beta", [0.55, GOLDEN_THRESHOLD, 0.7, 0.999])
+def test_levels_at_one_point_are_that_point(seed, beta):
+    # threshold's select: at lo = hi the level is lo itself, and the rows
+    # kept are exactly those whose mean reaches it
+    _, counts, w, v, mean, u = scans._draw_levels(np.random.default_rng(seed))()
+    got = scans._level_select(beta, beta, below=False)(counts, w, v, mean, u)
+    keep = np.flatnonzero(mean >= beta)
+    assert keep.size
+    assert_same_bits(got[3], np.full(keep.size, beta))
+    for column, whole in zip(got[:3], (counts, w, v)):
+        assert_same_bits(column, whole[keep])
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_optimum_pair_candidates_are_the_oracle(seed, blocks):
+    # every pair reads the one batch, which its screen leaves as it was
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch = scans._search_batch(*scans._draw_rows(rng, 6000, 3))
+    w, v = oracle_sample_batch(oracle_rng, 6000, kmax=3)
     found = 0
     for _ in range(4):
         t = float(rng.uniform(0.05, 0.95))
         u = float((1.0 - rng.uniform()) * binary_entropy(t))
         oracle_rng.uniform(size=2)
-        got = scans._pair_candidates(rng, 6000, t, u)
-        want = oracle_pair_filter(*oracle_sample_batch(oracle_rng, 6000, kmax=3), t, u)
+        got = scans._pair_candidates(batch, t, u)
+        want = oracle_pair_filter(w, v, t, u)
         for g, o in zip(got, want):
             assert_same_bits(g, o)
         found += got[0].shape[0]
@@ -459,18 +509,23 @@ def screen_cases(draw):
 @given(screen_cases())
 def test_screen_never_drops_a_row_the_exact_route_keeps(case):
     counts, w, v, t, u, i, edge = case
-    rows = scans._screen_candidates(counts, w, v, t, u)
-    assert np.all(np.diff(rows) > 0)
-    if edge == "single":
-        assert set(np.flatnonzero(counts == 1)) <= set(rows)
-    elif i is not None:
-        assert i in rows
     finished = [c.copy() for c in (counts, w, v)]
     scans._finish_rows(*finished)
-    screened = [np.take(c, rows, axis=0) for c in (counts, w, v)]
-    scans._finish_rows(*screened)
+    batch = scans._search_batch(counts, w, v)
+    # the batch is the finished rows, reordered
+    assert sorted(batch.order) == list(range(counts.size))
+    assert_same_bits(batch.w, finished[1][batch.order])
+    assert_same_bits(batch.v, finished[2][batch.order])
+    rows = scans._screen_candidates(batch, t, u)
+    drawn = batch.order[rows]
+    assert np.all(np.diff(drawn) > 0)
+    if edge == "single":
+        assert set(np.flatnonzero(counts == 1)) <= set(drawn)
+    elif i is not None:
+        assert i in drawn
     want = scans._matching_candidates(finished[1], finished[2], t, u)
-    got = scans._matching_candidates(screened[1], screened[2], t, u)
+    got = scans._matching_candidates(np.take(batch.w, rows, axis=0),
+                                     np.take(batch.v, rows, axis=0), t, u)
     for g, o in zip(got, want):
         assert_same_bits(g, o)
 

@@ -334,6 +334,14 @@ class TestScanEngines:
         with pytest.raises(ValueError, match=f"{runs[0][0]!r} is listed more than once"):
             list(run_named_scans(runs))
 
+    @pytest.mark.parametrize("tol", [math.inf, -1.0, math.nan])
+    @pytest.mark.parametrize("name", ["golden-anchor", "kernel-roundtrip", "family-sweep", "union-bound"])
+    def test_tolerance_must_be_finite_and_nonnegative(self, name, tol):
+        # the checks without a config take tol as it is given, so the rule
+        # of ScanConfig is applied to it before any check runs
+        with pytest.raises(ValueError, match="tolerance must be >= 0"):
+            run_named_scan(name, tol=tol)
+
     def test_rate_convexity_alpha_is_recorded(self):
         r = scan_rate_convexity(0.25, small_cfg("rate-convexity"))
         assert r.config["alpha"] == 0.25
