@@ -152,6 +152,12 @@ _BATCH = 65536
 #: own, so the block size changes no result.
 _ROWS = 4096
 
+#: Margins per block of a curve scan (:func:`_grid_min`), so that the
+#: curve's values, differences and kernel temporaries exist for one block
+#: at a time, about 128 KiB each.  Every margin is computed on its own, so
+#: the block size changes no result.
+_GRID_BLOCK = 16384
+
 #: Shared z-grid for the scaled-merge margin family.
 _Z_GRID = tuple(i / 20.0 for i in range(21))
 
@@ -628,25 +634,71 @@ def _read_batch(c: _Consumer, tally: list, batch: list) -> None:
 # grid scans
 # ----------------------------------------------------------------------
 
+def _grid_min(
+    name: str, xs: np.ndarray, margins: Callable[[np.ndarray], np.ndarray],
+    span: int = 0,
+) -> tuple[float, int]:
+    """The least margin over the grid ``xs``, and the first index where it
+    occurs.
+
+    ``margins(x)`` maps a run of consecutive grid points to the margin at
+    each of its first ``len(x) - span`` points: a pointwise margin for
+    ``span`` 0, one on each point and its right neighbour for 1, one on
+    each point and the two after it for 2.  The grid is read
+    ``_GRID_BLOCK`` margins at a time, each block of points overlapping the
+    next by ``span``, so the curve's values and temporaries exist for one
+    block at a time; the grid itself is the caller's one array, where the
+    witness is read.  Each margin comes out as over the whole grid, and
+    ties go to the first index, as ``np.argmin`` does.
+
+    A grid of ``span`` points or fewer has no margin, and raises ValueError
+    naming the check ``name``.
+    """
+    n = xs.size - span
+    if n < 1:
+        raise ValueError(
+            f"{name} needs a grid of at least {span + 1} points, got {xs.size}; "
+            "take a smaller grid step"
+        )
+    mins, firsts = [], []
+    for lo in range(0, n, _GRID_BLOCK):
+        m = margins(xs[lo:min(lo + _GRID_BLOCK, n) + span])
+        i = int(np.argmin(m))
+        mins.append(m[i])
+        firsts.append(lo + i)
+    # the first block holding the least margin holds its first index
+    k = int(np.argmin(mins))
+    return float(mins[k]), firsts[k]
+
+
 def _pair_scan(name: str, cfg: ScanConfig, curve_arr) -> ScanReport:
-    """Worst increase of ``curve_arr`` between consecutive grid points."""
+    """Worst increase of ``curve_arr`` between consecutive grid points,
+    found block by block (:func:`_grid_min`)."""
+    def rises(x: np.ndarray) -> np.ndarray:
+        vals = curve_arr(x)
+        return vals[1:] - vals[:-1]
+
     xs = _grid(cfg)
-    vals = curve_arr(xs)
-    diffs = vals[1:] - vals[:-1]
-    i = int(np.argmin(diffs))
+    worst, i = _grid_min(name, xs, rises, span=1)
     return _certified(
-        name, xs.size, float(diffs[i]), (float(xs[i]), float(xs[i + 1])),
+        name, xs.size, worst, (float(xs[i]), float(xs[i + 1])),
         cfg.tolerance, _config_dict(cfg), {},
     )
 
 
 def scan_sq_ratio(cfg: ScanConfig) -> ScanReport:
-    """Check that R(x) = H(x^2)/H(x) increases across the grid."""
+    """Check that R(x) = H(x^2)/H(x) increases across the grid.
+
+    Holds the grid (8 bytes a point) and one block of curve values.
+    """
     return _pair_scan("sq-ratio", cfg, entropy_sq_ratio_arr)
 
 
 def scan_sq_ratio_scaled(cfg: ScanConfig) -> ScanReport:
-    """Check that S(x) = H(x^2)/(x H(x)) increases past the golden threshold."""
+    """Check that S(x) = H(x^2)/(x H(x)) increases past the golden threshold.
+
+    Holds the grid (8 bytes a point) and one block of curve values.
+    """
     if cfg.range_lo < GOLDEN_THRESHOLD - 1e-12:
         raise PreconditionError(
             "the scaled ratio is only monotone from the golden threshold up"
@@ -655,38 +707,52 @@ def scan_sq_ratio_scaled(cfg: ScanConfig) -> ScanReport:
 
 
 def scan_rate_convexity(alpha: float, cfg: ScanConfig) -> ScanReport:
-    """Check convexity of x -> f(alpha g(x)) by second central differences."""
+    """Check convexity of x -> f(alpha g(x)) by second central differences.
+
+    The differences are found block by block (:func:`_grid_min`), so the
+    scan holds the grid (8 bytes a point) and one block of rate values.
+    """
     alpha = _rate_alpha(alpha)
     if cfg.range_lo <= 0.0:
         raise PreconditionError("the convexity grid must stay strictly positive")
+
+    def bends(x: np.ndarray) -> np.ndarray:
+        vals = _composed_rate_arr(alpha, x)
+        return vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
+
     xs = _grid(cfg)
-    vals = _composed_rate_arr(alpha, xs)
-    d2 = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
-    i = int(np.argmin(d2))
+    worst, i = _grid_min("rate-convexity", xs, bends, span=2)
     witness = (float(xs[i]), float(xs[i + 1]), float(xs[i + 2]))
     return _certified(
-        "rate-convexity", xs.size, float(d2[i]), witness, cfg.tolerance,
+        "rate-convexity", xs.size, worst, witness, cfg.tolerance,
         _config_dict(cfg, alpha=alpha), {},
     )
 
 
 def scan_tail_rate(cfg: ScanConfig) -> ScanReport:
-    """Check that the nats tail rate decreases, plus ln(1-z) <= -z pointwise."""
+    """Check that the nats tail rate decreases, plus ln(1-z) <= -z pointwise.
+
+    Both minima are found block by block (:func:`_grid_min`), so the scan
+    holds the grid (8 bytes a point) and one block of margins.
+    """
+    def falls(z: np.ndarray) -> np.ndarray:
+        vals = tail_rate_arr(z)
+        return vals[:-1] - vals[1:]
+
     zs = _grid(cfg)
-    vals = tail_rate_arr(zs)
-    diffs = vals[:-1] - vals[1:]
-    i = int(np.argmin(diffs))
-    pointwise = -zs - np.log1p(-np.minimum(zs, 1.0 - 1e-16))
-    j = int(np.argmin(pointwise))
-    if float(diffs[i]) <= float(pointwise[j]):
+    pair_min, i = _grid_min("tail-rate", zs, falls, span=1)
+    point_min, j = _grid_min(
+        "tail-rate", zs, lambda z: -z - np.log1p(-np.minimum(z, 1.0 - 1e-16))
+    )
+    if pair_min <= point_min:
         witness: tuple = (float(zs[i]), float(zs[i + 1]))
-        vector_min = float(diffs[i])
+        vector_min = pair_min
     else:
         witness = (float(zs[j]),)
-        vector_min = float(pointwise[j])
+        vector_min = point_min
     details = {
-        "min_pair_margin": float(diffs[i]),
-        "min_pointwise_margin": float(pointwise[j]),
+        "min_pair_margin": pair_min,
+        "min_pointwise_margin": point_min,
     }
     return _certified(
         "tail-rate", zs.size, vector_min, witness, cfg.tolerance,
@@ -1287,24 +1353,27 @@ def kernel_roundtrip_scan(
     bounds minus the residuals, judged at tolerance zero.
     """
     xs = _grid(_ROUNDTRIP_GRID)
-    back = inverse_entropy_rate_arr(entropy_rate_arr(xs))
-    m_x = x_tol - np.abs(back - xs)
-    i = int(np.argmin(m_x))
+    min_x, i = _grid_min(
+        "kernel-roundtrip", xs,
+        lambda x: x_tol - np.abs(inverse_entropy_rate_arr(entropy_rate_arr(x)) - x),
+    )
     ys = np.linspace(0.0, 20.0, 20001)
-    resid = np.abs(entropy_rate_arr(inverse_entropy_rate_arr(ys)) - ys)
-    m_y = rate_tol * np.maximum(1.0, ys) - resid
-    j = int(np.argmin(m_y))
-    if float(m_x[i]) <= float(m_y[j]):
+    min_y, j = _grid_min(
+        "kernel-roundtrip", ys,
+        lambda y: rate_tol * np.maximum(1.0, y)
+        - np.abs(entropy_rate_arr(inverse_entropy_rate_arr(y)) - y),
+    )
+    if min_x <= min_y:
         witness: tuple = ("roundtrip-x", float(xs[i]))
-        vector_min = float(m_x[i])
+        vector_min = min_x
     else:
         witness = ("roundtrip-rate", float(ys[j]))
-        vector_min = float(m_y[j])
+        vector_min = min_y
     details = {
         "x_tol": x_tol,
         "rate_tol": rate_tol,
-        "min_x_margin": float(m_x[i]),
-        "min_rate_margin": float(m_y[j]),
+        "min_x_margin": min_x,
+        "min_rate_margin": min_y,
     }
     return _certified(
         "kernel-roundtrip", xs.size + ys.size, vector_min, witness, 0.0,

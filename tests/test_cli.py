@@ -267,6 +267,18 @@ class TestScan:
         assert doc["points_checked"] == 0
         assert doc["passed"] is False
 
+    @pytest.mark.parametrize("name,step,message", [
+        ("sq-ratio", "5", "sq-ratio needs a grid of at least 2 points, got 1"),
+        ("rate-convexity", "10", "rate-convexity needs a grid of at least 3 points, got 2"),
+        ("tail-rate", "5", "tail-rate needs a grid of at least 2 points, got 1"),
+    ])
+    def test_grid_too_coarse_for_a_margin_is_a_usage_error(self, tmp_path, capsys,
+                                                           name, step, message):
+        out = tmp_path / "r"
+        assert main(["scan", name, "--step", step, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_scan_name(self, tmp_path):
         assert main(["scan", "bogus", "--out", str(tmp_path)]) == 2
 

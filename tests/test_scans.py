@@ -2,16 +2,22 @@
 
 import json
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from entroset import scans
 from entroset.distribution import FiniteDistribution, random_distribution
 from entroset.kernel import (
     FREQUENCY_BOUND,
     GOLDEN_THRESHOLD,
+    KERNEL_TOL,
     DomainError,
     binary_entropy,
+    entropy_rate_arr,
+    inverse_entropy_rate_arr,
 )
 from entroset.report import (
     PreconditionError,
@@ -33,6 +39,7 @@ from entroset.scans import (
     entropy_sq_ratio,
     entropy_sq_ratio_arr,
     entropy_sq_ratio_scaled,
+    entropy_sq_ratio_scaled_arr,
     golden_anchor_check,
     kernel_roundtrip_scan,
     merge_property_scan,
@@ -49,9 +56,12 @@ from entroset.scans import (
     scan_rate_convexity,
     subset_entropy_scan,
     tail_rate,
+    tail_rate_arr,
     threshold_exploration,
     union_bound_margin,
 )
+
+from test_samplers import report_text
 
 PHI = (math.sqrt(5.0) + 1.0) / 2.0
 
@@ -455,3 +465,158 @@ class TestScanEngines:
                 assert d.mean() <= level + 1e-12
             else:
                 assert d.mean() >= level - 1e-12
+
+
+# ----------------------------------------------------------------------
+# the curve scans against their whole-grid oracles
+# ----------------------------------------------------------------------
+
+def oracle_pair_scan(name, cfg, curve_arr):
+    """The pair scan over the whole grid at once."""
+    xs = scans._grid(cfg)
+    vals = curve_arr(xs)
+    diffs = vals[1:] - vals[:-1]
+    i = int(np.argmin(diffs))
+    return scans._certified(
+        name, xs.size, float(diffs[i]), (float(xs[i]), float(xs[i + 1])),
+        cfg.tolerance, scans._config_dict(cfg), {},
+    )
+
+
+def oracle_rate_convexity(alpha, cfg):
+    xs = scans._grid(cfg)
+    vals = scans._composed_rate_arr(alpha, xs)
+    d2 = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
+    i = int(np.argmin(d2))
+    witness = (float(xs[i]), float(xs[i + 1]), float(xs[i + 2]))
+    return scans._certified(
+        "rate-convexity", xs.size, float(d2[i]), witness, cfg.tolerance,
+        scans._config_dict(cfg, alpha=alpha), {},
+    )
+
+
+def oracle_tail_rate(cfg):
+    zs = scans._grid(cfg)
+    vals = tail_rate_arr(zs)
+    diffs = vals[:-1] - vals[1:]
+    i = int(np.argmin(diffs))
+    pointwise = -zs - np.log1p(-np.minimum(zs, 1.0 - 1e-16))
+    j = int(np.argmin(pointwise))
+    if float(diffs[i]) <= float(pointwise[j]):
+        witness = (float(zs[i]), float(zs[i + 1]))
+        vector_min = float(diffs[i])
+    else:
+        witness = (float(zs[j]),)
+        vector_min = float(pointwise[j])
+    details = {
+        "min_pair_margin": float(diffs[i]),
+        "min_pointwise_margin": float(pointwise[j]),
+    }
+    return scans._certified(
+        "tail-rate", zs.size, vector_min, witness, cfg.tolerance,
+        scans._config_dict(cfg), details,
+    )
+
+
+def oracle_kernel_roundtrip(x_tol=1e-9, rate_tol=KERNEL_TOL):
+    xs = scans._grid(scans._ROUNDTRIP_GRID)
+    back = inverse_entropy_rate_arr(entropy_rate_arr(xs))
+    m_x = x_tol - np.abs(back - xs)
+    i = int(np.argmin(m_x))
+    ys = np.linspace(0.0, 20.0, 20001)
+    resid = np.abs(entropy_rate_arr(inverse_entropy_rate_arr(ys)) - ys)
+    m_y = rate_tol * np.maximum(1.0, ys) - resid
+    j = int(np.argmin(m_y))
+    if float(m_x[i]) <= float(m_y[j]):
+        witness = ("roundtrip-x", float(xs[i]))
+        vector_min = float(m_x[i])
+    else:
+        witness = ("roundtrip-rate", float(ys[j]))
+        vector_min = float(m_y[j])
+    details = {
+        "x_tol": x_tol,
+        "rate_tol": rate_tol,
+        "min_x_margin": float(m_x[i]),
+        "min_rate_margin": float(m_y[j]),
+    }
+    return scans._certified(
+        "kernel-roundtrip", xs.size + ys.size, vector_min, witness, 0.0,
+        scans._config_dict(scans._ROUNDTRIP_GRID), details,
+    )
+
+
+CURVE_ORACLES = {
+    "sq-ratio": lambda cfg: oracle_pair_scan("sq-ratio", cfg, entropy_sq_ratio_arr),
+    "sq-ratio-scaled": lambda cfg: oracle_pair_scan(
+        "sq-ratio-scaled", cfg, entropy_sq_ratio_scaled_arr),
+    "rate-convexity": lambda cfg: oracle_rate_convexity(0.5, cfg),
+    "tail-rate": oracle_tail_rate,
+}
+
+
+def curve_cfg(name: str, points: int) -> ScanConfig:
+    """The check's registry configuration on a grid of ``points`` points."""
+    cfg = CHECKS[name].cfg
+    cfg = replace(cfg, grid_step=(cfg.range_hi - cfg.range_lo) / (points - 1))
+    assert cfg.grid_points() == points
+    return cfg
+
+
+class TestBlockedGridScans:
+    """The curve scans and kernel-roundtrip find their minima block by
+    block; every report must be the whole-grid oracle's, byte for byte,
+    on the default block and on blocks of 5 and 7 margins."""
+
+    @pytest.fixture(params=[None, 5, 7], ids=["default", "block5", "block7"])
+    def block(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(scans, "_GRID_BLOCK", request.param)
+        return scans._GRID_BLOCK
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("name,span", [
+        ("sq-ratio", 1), ("sq-ratio-scaled", 1), ("rate-convexity", 2),
+        ("tail-rate", 0), ("tail-rate", 1),
+    ])
+    def test_curve_reports_are_the_oracle(self, name, span, offset, block):
+        # margins of this span one below, at and one above a block multiple
+        cfg = curve_cfg(name, 3 * block + offset + span)
+        got = run_named_scan(name, cfg)
+        assert report_text(got) == report_text(CURVE_ORACLES[name](cfg))
+        assert reevaluate_witness(got) == got.min_margin
+
+    @pytest.mark.parametrize("tol", [None, 1e-12])
+    def test_kernel_roundtrip_is_the_oracle(self, tol, block):
+        want = oracle_kernel_roundtrip() if tol is None else oracle_kernel_roundtrip(tol, tol)
+        assert report_text(run_named_scan("kernel-roundtrip", tol=tol)) == report_text(want)
+
+    def test_equal_minima_across_a_block_edge_keep_the_first(self, block, monkeypatch):
+        # the rises at points block - 1 and block are the least, and equal;
+        # the first lies in the first block, the second in the next
+        points = 2 * block + 3
+        cfg = replace(CHECKS["sq-ratio"].cfg, range_lo=0.0, range_hi=1.0,
+                      grid_step=1.0 / (points - 1))
+
+        def curve(x):
+            k = np.rint(x * (points - 1))
+            return np.where(k < block, 0.0, np.where(k > block + 1, k, block - k - 1.0))
+
+        monkeypatch.setattr(scans, "entropy_sq_ratio_arr", curve)
+        got = scans.scan_sq_ratio(cfg)
+        xs = scans._grid(cfg)
+        assert got.argmin_witness == (float(xs[block - 1]), float(xs[block]))
+        assert got.details["vector_min_margin"] == -1.0
+        assert report_text(got) == report_text(oracle_pair_scan("sq-ratio", cfg, curve))
+
+    @pytest.mark.parametrize("name", list(CURVE_ORACLES))
+    def test_curve_scan_holds_the_grid_and_one_block(self, name):
+        # about 10^6 points: the grid is 8 MB, and a whole-grid scan held
+        # several more temporaries of that size
+        cfg = curve_cfg(name, 1_000_001)
+        tracemalloc.start()
+        try:
+            run_named_scan(name, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * cfg.grid_points() + 4 * 2**20
