@@ -69,10 +69,10 @@ def main() -> None:
         range_lo=0.60,
         range_hi=0.64,
         grid_step=0.004,
-        random_samples=4000,
     )
     rep = threshold_exploration(cfg)
-    print(f"  scanned {rep.points_checked} (beta, distribution) pairs")
+    print(f"  swept {rep.points_checked} two-point families "
+          f"({len(rep.details['rows'])} betas)")
     print(f"  {'beta':>10s} {'min margin':>14s} {'points':>7s}  above golden?")
     for row in rep.details["rows"]:
         print(f"  {row['beta']:10.6f} {row['min_margin']:14.6e} "

@@ -116,17 +116,23 @@ def _write_manifest(
 # running checks: verify-all and scan
 # ----------------------------------------------------------------------
 
+def _is_curve(check: _scans.Check) -> bool:
+    """A check whose grid --step sets: configured and unsampled, but not
+    threshold, whose beta grid moves with scan's --beta only."""
+    return check.cfg is not None and not check.cfg.random_samples and check.name != "threshold"
+
+
 def _check_cfg(args, check: _scans.Check) -> ScanConfig | None:
     """The check's configuration with --seed, and with --samples for a
-    sampled check or --step for a grid (curve) check; threshold takes its
-    band and step from scan's --beta."""
+    sampled check, --step for a curve check (:func:`_is_curve`) and scan's
+    --beta for threshold."""
     if check.cfg is None:
         return None
     kw: dict = {"seed": args.seed}
     if check.cfg.random_samples:
         if args.samples is not None:
             kw["random_samples"] = args.samples
-    elif args.step is not None:
+    elif args.step is not None and _is_curve(check):
         kw["grid_step"] = args.step
     if check.name == "threshold" and getattr(args, "beta", None) is not None:
         kw["range_lo"], kw["range_hi"], kw["grid_step"] = args.beta
@@ -383,7 +389,8 @@ def cmd_family_entropy(args) -> int:
 # ----------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed (default 42)")
+    p.add_argument("--seed", type=_config_rule("seed", int), default=DEFAULT_SEED,
+                   help="RNG seed, at least 0 (default 42)")
     p.add_argument("--out", default=DEFAULT_OUT, help="report directory (default reports/)")
 
 
@@ -398,21 +405,23 @@ def _sample_budgets() -> str:
     )
 
 
-def _tolerance(text: str) -> float:
-    """A ``--tol`` value, refused unless finite and >= 0, by the rule and
-    with the message of :class:`ScanConfig`'s tolerance."""
-    try:
-        return ScanConfig(tolerance=float(text)).tolerance
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _config_rule(field: str, convert):
+    """The argparse type of a flag that sets :class:`ScanConfig`'s ``field``:
+    ``convert`` the text, then refuse the value by ScanConfig's rule and
+    with its message."""
+    def parse(text: str):
+        try:
+            return getattr(ScanConfig(**{field: convert(text)}), field)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _add_check_flags(p: argparse.ArgumentParser) -> None:
     """The flags of the commands that run checks, verify-all and scan, each
     mapped onto a check's configuration by :func:`_check_cfg`."""
     _add_common(p)
-    curves = ", ".join(c.name for c in _scans.CHECKS.values()
-                       if c.cfg is not None and not c.cfg.random_samples)
+    curves = ", ".join(c.name for c in _scans.CHECKS.values() if _is_curve(c))
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="report format; JSON is always written")
     p.add_argument("--samples", type=int, default=None,
@@ -420,9 +429,9 @@ def _add_check_flags(p: argparse.ArgumentParser) -> None:
                         f"(default: {_sample_budgets()})")
     p.add_argument("--step", type=float, default=None,
                    help=f"override the grid step of the curve checks ({curves}); "
-                        "sampled checks ignore it, and threshold takes its beta "
-                        "step from scan's --beta only")
-    p.add_argument("--tol", type=_tolerance, default=None,
+                        "the other checks ignore it, and threshold takes its "
+                        "beta step from scan's --beta only")
+    p.add_argument("--tol", type=_config_rule("tolerance", float), default=None,
                    help="override the tolerance of every configured check (bridge-gap's "
                         "bound) and the residual bounds of kernel-roundtrip and "
                         "golden-anchor; family-sweep (exact), entropy-bridge (fixed "

@@ -51,6 +51,8 @@ class ScanConfig:
             raise ValueError(f"grid_step must be positive, got {self.grid_step!r}")
         if self.random_samples < 0:
             raise ValueError("random_samples must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0.0):
             raise ValueError(f"tolerance must be >= 0, got {self.tolerance!r}")
         if not (self.range_lo < self.range_hi):

@@ -568,15 +568,16 @@ def _certified(
 class _Consumer:
     """One reader of a sampled stream in :func:`_worst_rows`.
 
-    It keeps ``needed`` rows.  ``select(*batch)`` gives the rows of a drawn
-    batch it keeps, as columns whose first axis runs over those rows in the
-    order drawn; None keeps the batch's columns as they are.
-    ``margins(*columns)`` gives the margin of each kept row.
+    It keeps ``needed`` rows.  ``select(*batch)`` gives ``(rows, level)``:
+    the indices in a drawn batch of the rows it keeps, in the order drawn,
+    and a level for each.  ``margins(batch, rows, level)`` gives the margin
+    of each kept row, read straight from the batch, so no row is copied
+    before its margin needs it.
     """
 
     needed: int
     margins: Callable[..., np.ndarray]
-    select: Callable[..., tuple] | None = None
+    select: Callable[..., tuple]
 
 
 def _worst_rows(
@@ -588,15 +589,14 @@ def _worst_rows(
     ``draw()`` returns one batch as ``(drawn, *batch)``: the number of rows
     drawn, then the batch's columns.  Each batch is drawn once and read by
     every consumer still short of rows, so consumers of one stream share
-    its draws: union-bound and product-bound, and threshold's betas, read
-    the level stream of :func:`_draw_levels` this way.  A consumer that
-    has its rows reads no more batches, and its figures are those it would
-    have alone.
+    its draws: union-bound and product-bound read the level stream of
+    :func:`_draw_levels` this way.  A consumer that has its rows reads no
+    more batches, and its figures are those it would have alone.
 
     Returns ``(best, row, checked, drawn)`` per consumer: the least margin,
-    that row's entry in each column (``()`` when nothing was kept), the
-    rows checked and the rows drawn while it read.  Ties go to the row
-    drawn first.
+    that row's entry in each of the batch's columns, then its level (``()``
+    when nothing was kept), the rows checked and the rows drawn while it
+    read.  Ties go to the row drawn first.
     """
     # per consumer: best, row, checked, drawn
     tallies = [[math.inf, (), 0, 0] for _ in consumers]
@@ -614,19 +614,19 @@ def _worst_rows(
 
 def _read_batch(c: _Consumer, tally: list, batch: list) -> None:
     """Update a consumer's ``[best, row, checked, drawn]`` tally with the
-    rows it keeps of one batch.  Its kept rows go when this returns, before
-    the next consumer selects its own."""
-    columns = batch if c.select is None else c.select(*batch)
-    if not len(columns[0]):
+    rows it keeps of one batch.  What it selected goes when this returns,
+    before the next consumer selects its own."""
+    rows, level = c.select(*batch)
+    take = min(rows.size, c.needed - tally[2])
+    if not take:
         return
-    take = min(len(columns[0]), c.needed - tally[2])
-    kept = [col[:take] for col in columns]
-    m = c.margins(*kept)
+    rows, level = rows[:take], level[:take]
+    m = c.margins(batch, rows, level)
     i = int(np.argmin(m))
     if float(m[i]) < tally[0]:
         tally[0] = float(m[i])
-        # a copy: a view would keep the consumer's kept rows alive
-        tally[1] = tuple(col[i].copy() for col in kept)
+        # copies: a view would keep the batch alive
+        tally[1] = (*(col[rows[i]].copy() for col in batch), level[i].copy())
     tally[2] += take
 
 
@@ -838,14 +838,12 @@ def _draw_levels(rng: np.random.Generator):
     ``(counts, w, v, mean, u)``, with one uniform draw u per row, for
     distributions of 1 to 6 atoms.
 
-    union-bound, product-bound, bridge-gap and threshold read this one
-    stream.  Each maps the shared u, given the row's mean, to a level of
-    its own (:func:`_level_select`), so at equal seeds one pass of
+    union-bound, product-bound and bridge-gap read this one stream.  Each
+    maps the shared u, given the row's mean, to a level of its own
+    (:func:`_level_select`), so at equal seeds one pass of
     :func:`_worst_rows` serves several: verify-all draws each batch once
-    for union-bound and product-bound, and threshold once for all its
-    betas.  Threshold's levels are fixed, so it ignores u.  A sampler that
-    changes this stream must keep one shared u per row, or drop the
-    sharing on purpose.
+    for union-bound and product-bound.  A sampler that changes this stream
+    must keep one shared u per row, or drop the sharing on purpose.
 
     Per batch the RNG calls are those of :func:`_draw_rows` for ``_BATCH``
     rows of up to six atoms, then one uniform u per row.
@@ -860,18 +858,17 @@ def _draw_levels(rng: np.random.Generator):
 
 
 def _level_select(lo: float, hi: float, below: bool):
-    """A consumer's ``select`` on the level stream: the rows, as
-    ``(counts, w, v, level)`` in the order drawn, whose mean is at most
-    their level, taken from (lo, hi] (``below``), or at least their level,
-    taken from [lo, hi).
+    """A consumer's ``select`` on the level stream: ``(rows, level)``, the
+    indices of the rows, in the order drawn, whose mean is at most their
+    level, taken from (lo, hi] (``below``), or at least their level, taken
+    from [lo, hi), and those levels.
 
     Each row's level is drawn given its mean, from the part of the range
     the mean allows: with m the mean clipped to [lo, hi], the union side
     takes hi - (hi - m) u and the product side lo + (m - lo) u, from the
     row's shared u.  So a row is kept whenever some level in the range
     admits it, and its level is uniform over those that do.  A level that
-    rounds onto the open end is moved one float inside.  At lo = hi every
-    level is exactly lo, and the kept rows are those with mean >= lo.
+    rounds onto the open end is moved one float inside.
     """
 
     def select(counts, w, v, mean, u):
@@ -882,7 +879,7 @@ def _level_select(lo: float, hi: float, below: bool):
         else:
             level = np.minimum(lo + (m - lo) * u, np.nextafter(hi, lo))
             keep = np.flatnonzero(mean >= level)
-        return tuple(np.take(c, keep, axis=0) for c in (counts, w, v, level))
+        return keep, np.take(level, keep)
 
     return select
 
@@ -897,44 +894,50 @@ def _product_pairs(v: np.ndarray) -> np.ndarray:
     return v[:, :, None] * v[:, None, :]
 
 
-def _pair_margins(counts, w, v, ratio, pairs) -> np.ndarray:
-    """``lhs - ratio * u`` per row, where u is the expected entropy and lhs
-    the expected entropy of ``pairs(v)`` over two independent draws.
+def _pair_margins(batch, rows, ratio, pairs) -> np.ndarray:
+    """``lhs - ratio * u`` per kept row of a level-stream batch, where u is
+    the expected entropy and lhs the expected entropy of ``pairs(v)`` over
+    two independent draws.
 
-    Rows are grouped by their atom count k and each group builds its k x k
-    pair matrix.  A padded atom has weight zero, so over the padded
-    columns it adds only exact zeros, in the same order: the result is the
-    bits of the padded computation.
+    The kept rows ``rows`` are grouped by their atom count k, and each
+    group is gathered from the batch once, as its k live columns, to build
+    its k x k pair matrix.  A padded atom has weight zero, so over the
+    padded columns it adds only exact zeros, in the same order: the result
+    is the bits of the padded computation.
     """
-    out = np.empty(counts.size)
+    counts, w, v, *_ = batch
+    kept_counts = np.take(counts, rows)
+    out = np.empty(rows.size)
     for k in range(1, w.shape[1] + 1):
-        rows = np.flatnonzero(counts == k)
-        if rows.size:
-            wk = np.take(w[:, :k], rows, axis=0)
-            vk = np.take(v[:, :k], rows, axis=0)
+        at = np.flatnonzero(kept_counts == k)
+        if at.size:
+            src = np.take(rows, at)
+            wk = w[src, :k]
+            vk = v[src, :k]
             u = np.einsum("ij,ij->i", wk, binary_entropy_arr(vk))
             lhs = np.einsum("ni,nj,nij->n", wk, wk, binary_entropy_arr(pairs(vk)))
-            out[rows] = lhs - np.take(ratio, rows) * u
+            out[at] = lhs - np.take(ratio, at) * u
     return out
 
 
-def _union_margins_arr(counts, w, v, alpha) -> np.ndarray:
+def _union_margins_arr(batch, rows, alpha) -> np.ndarray:
     mix = np.clip(alpha * (2.0 - alpha), 0.0, 1.0)
     ratio = binary_entropy_arr(mix) / binary_entropy_arr(alpha)
-    return _pair_margins(counts, w, v, ratio, _union_pairs)
+    return _pair_margins(batch, rows, ratio, _union_pairs)
 
 
-def _product_margins_arr(counts, w, v, beta) -> np.ndarray:
+def _product_margins_arr(batch, rows, beta) -> np.ndarray:
     ratio = entropy_of_square_arr(beta) / binary_entropy_arr(beta)
-    return _pair_margins(counts, w, v, ratio, _product_pairs)
+    return _pair_margins(batch, rows, ratio, _product_pairs)
 
 
 def _level_witness(row: tuple) -> tuple:
-    """``(level, weights, values)`` of a kept ``(counts, w, v, level)`` row,
-    and ``()`` for the empty row of a scan that kept none."""
+    """``(level, weights, values)`` of a kept level-stream row, as
+    :func:`_worst_rows` returns it, and ``()`` for the empty row of a scan
+    that kept none."""
     if not row:
         return ()
-    _, w, v, level = row
+    _, w, v, _, _, level = row
     return (float(level), *_witness_atoms(w, v))
 
 
@@ -1009,9 +1012,10 @@ def bridge_gap_scan(cfg: ScanConfig) -> ScanReport:
     """
     rng = np.random.default_rng(cfg.seed)
 
-    def margins(*columns):
-        return np.array([_bridge_margin(cfg.tolerance, _level_witness(row))
-                         for row in zip(*columns)])
+    def margins(batch, rows, level):
+        _, w, v, *_ = batch
+        return np.array([_bridge_margin(cfg.tolerance, (float(b), *_witness_atoms(w[r], v[r])))
+                         for r, b in zip(rows, level)])
 
     select = _level_select(GOLDEN_THRESHOLD, 1.0, below=False)
     [(best, row, checked, drawn)] = _worst_rows(
@@ -1034,55 +1038,47 @@ def threshold_exploration(cfg: ScanConfig) -> ScanReport:
     """Map the product bound's margin across a band of thresholds.
 
     For each beta on the grid this sweeps the two-point family
-    {(beta/v, v), (1 - beta/v, 0)} over v in [beta, 1) and cfg.random_samples
-    rows of the level stream with mean >= beta, recording the worst margin
-    per beta WITHOUT enforcing the golden threshold.  One pass of the
-    stream serves every beta.  Exploratory: the report always passes;
-    negative margins below the threshold are the interesting output, not a
-    failure.
+    {(beta/v, v), (1 - beta/v, 0)} over 2,001 values v in [beta, 1) and
+    records the worst margin per beta WITHOUT enforcing the golden
+    threshold; the minimiser is the row's witness.  No other distribution
+    can fail where the family does not: the family's margin at v is
+    (beta/v) beta H(v) [S(v) - S(beta)], and one with mean t >= beta and
+    expected entropy u has margin >= beta u [S(v) - S(beta)] at
+    v = max(rate^-1(u / t), t), by the optimum certificate
+    (:func:`product_bound_chain`).  Nothing is drawn, so the report's
+    config records ``random_samples`` 0 whatever ``cfg`` holds.
+
+    Exploratory: the report always passes; negative margins below the
+    threshold are the interesting output, not a failure.
     """
-    rng = np.random.default_rng(cfg.seed)
-    betas = [float(beta) for beta in _grid(cfg)]
-    tallies = _worst_rows(_draw_levels(rng), [
-        _Consumer(cfg.random_samples, _product_margins_arr,
-                  _level_select(beta, beta, below=False))
-        for beta in betas
-    ])
     rows = []
-    total = 0
     global_best = math.inf
     global_witness: tuple = ()
-    for beta, (sampled, row, got, _) in zip(betas, tallies):
+    for beta in (float(b) for b in _grid(cfg)):
         ratio = entropy_of_square(beta) / binary_entropy(beta)
         vs = np.linspace(beta, 1.0 - 1e-6, 2001)
         q = beta / vs
         two_point = q * q * entropy_of_square_arr(vs) - ratio * q * binary_entropy_arr(vs)
-        i = int(np.argmin(two_point))
-        row_best = float(two_point[i])
-        vstar = float(vs[i])
+        vstar = float(vs[int(np.argmin(two_point))])
         qstar = beta / vstar
         row_witness: tuple = (
             beta,
             (qstar, 1.0 - qstar) if qstar < 1.0 else (1.0,),
             (vstar, 0.0) if qstar < 1.0 else (vstar,),
         )
-        if sampled < row_best:
-            row_witness = _level_witness(row)
-        row_points = vs.size + got
-        total += row_points
         certified = _threshold_margin(row_witness)
         rows.append({
             "beta": beta,
             "min_margin": certified,
-            "points": row_points,
+            "points": vs.size,
             "above_golden": beta >= GOLDEN_THRESHOLD - 1e-15,
         })
         if certified < global_best:
             global_best = certified
             global_witness = row_witness
     report = make_report(
-        "threshold", total, global_best, global_witness, cfg.tolerance,
-        config=_config_dict(cfg), details={"rows": rows},
+        "threshold", sum(r["points"] for r in rows), global_best, global_witness,
+        cfg.tolerance, config=_config_dict(cfg, random_samples=0), details={"rows": rows},
     )
     # exploration never fails: the negative margins below the golden
     # threshold are its findings, not defects
@@ -1467,22 +1463,27 @@ def subset_entropy_scan(cfg: ScanConfig, ground_n: int = 4) -> ScanReport:
         keep_mask = rng.random(size=(batch, n_masks)) < 0.25
         keep_mask[:, 0] = True
         alpha = FREQUENCY_BOUND * (1.0 - rng.random(size=batch))
-        parts = []
+        kept = np.empty(batch, dtype=bool)
         for b in _row_blocks(batch):
             r = raw[b]
             # small-set bias: damp each mask by 3^popcount
             np.multiply(r, damp, out=r, where=(style[b] == 1)[:, None])
             np.multiply(r, keep_mask[b], out=r, where=(style[b] == 2)[:, None])
-            probs = r / r.sum(axis=1, keepdims=True)
+            r /= r.sum(axis=1, keepdims=True)
             # each element's marginal, summed over its holders in mask order
-            top = np.zeros(probs.shape[0])
+            top = np.zeros(r.shape[0])
             for cols in holders:
-                np.maximum(top, _column_sum(probs[:, cols]), out=top)
-            keep = np.flatnonzero((top <= alpha[b]) & (_column_max(probs) < 1.0))
-            parts.append((np.take(probs, keep, axis=0), np.take(alpha[b], keep)))
-        return batch, *(np.concatenate(c) for c in zip(*parts))
+                np.maximum(top, _column_sum(r[:, cols]), out=top)
+            kept[b] = (top <= alpha[b]) & (_column_max(r) < 1.0)
+        # raw now holds each row's probabilities
+        return batch, raw, alpha, kept
 
-    def margins(p, a):
+    def select(probs, alpha, kept):
+        rows = np.flatnonzero(kept)
+        return rows, np.take(alpha, rows)
+
+    def margins(batch, rows, a):
+        p = np.take(batch[0], rows, axis=0)
         n = p.shape[0]
         codes = (np.arange(n)[:, None] * n_masks + uni).ravel()
         pun = np.bincount(codes, weights=(p[:, :, None] * p[:, None, :]).ravel(),
@@ -1491,11 +1492,11 @@ def subset_entropy_scan(cfg: ScanConfig, ground_n: int = 4) -> ScanReport:
         return _shannon_rows(pun) - ratio * _shannon_rows(p)
 
     [(best, row, checked, drawn)] = _worst_rows(
-        draw, [_Consumer(cfg.random_samples, margins)]
+        draw, [_Consumer(cfg.random_samples, margins, select)]
     )
     witness: tuple = ()
     if row:
-        p, a = row
+        p, _, _, a = row
         sel = p > 0.0
         witness = (
             float(a),
@@ -1739,7 +1740,7 @@ CHECKS: dict[str, Check] = {c.name: c for c in (
     ),
     Check(
         "threshold", "scans",
-        ScanConfig(grid_step=0.01, random_samples=10_000, seed=42, tolerance=1e-9,
+        ScanConfig(grid_step=0.01, random_samples=0, seed=42, tolerance=1e-9,
                    range_lo=0.55, range_hi=0.70),
         lambda cfg, alpha, tol: threshold_exploration(cfg),
         lambda r: _threshold_margin(r.argmin_witness),

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import entroset
-from entroset.cli import main
+from entroset.cli import build_parser, main
 from entroset.distribution import FiniteDistribution, load_distribution, reduce_support
 from entroset.kernel import binary_entropy
 from entroset.scans import CHECKS
@@ -176,7 +177,7 @@ class TestVerifyAll:
         assert timing["accept_ratio"] == report["points_checked"] / report["details"]["raw_draws"]
         assert 0.0 < timing["accept_ratio"] < 1.0
         # bridge-gap keeps the level-stream rows at levels from the golden
-        # threshold up; threshold's betas share one draw, so it has no ratio
+        # threshold up; threshold draws nothing, so it has no ratio
         assert main(["verify-all", "--only", "scans", "--samples", "300",
                      "--step", "0.05", "--out", str(out)]) == 0
         checks = {c["name"]: c for c in
@@ -357,6 +358,31 @@ class TestScan:
         assert main(["scan", "threshold", *flags, "--beta", "0.60:0.64:0.02"]) == 0
         rows = json.loads((tmp_path / "scan" / "threshold-42.json").read_text())
         assert [r["beta"] for r in rows["details"]["rows"]] == pytest.approx([0.60, 0.62, 0.64])
+
+    def test_samples_and_step_leave_threshold_alone(self, tmp_path):
+        # threshold samples nothing and is no curve check: neither flag
+        # reaches it, and neither flag's help names it
+        assert main(["verify-all", "--only", "scans", "--samples", "300", "--step", "0.05",
+                     "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "verify-all" / "threshold-42.json").read_text())
+        assert doc["config"]["grid_step"] == 0.01
+        assert doc["config"]["random_samples"] == 0
+        assert [r["points"] for r in doc["details"]["rows"]] == [2001] * 16
+        for command in ("verify-all", "scan"):
+            parser = build_parser()._subparsers._group_actions[0].choices[command]
+            helps = {a.dest: a.help for a in parser._actions}
+            curves = re.search(r"curve checks \(([^)]*)\)", helps["step"]).group(1)
+            assert curves.split(", ") == ["sq-ratio", "sq-ratio-scaled", "rate-convexity",
+                                          "tail-rate"]
+            assert "threshold" not in helps["samples"]
+
+    def test_negative_seed_is_refused_before_any_check_runs(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["verify-all", "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["scan", "golden-anchor", "--seed", "-1", "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_csv_format_flag(self, tmp_path):
         out = tmp_path / "r"

@@ -8,7 +8,6 @@ matrix product for the subset marginals.  They make the same RNG calls,
 so every kept row, margin and report must come out the same, bit for bit.
 """
 
-import itertools
 import json
 import math
 from dataclasses import replace
@@ -194,68 +193,40 @@ def oracle_optimum_search(cfg, pairs):
     )
 
 
-def oracle_threshold(cfg, batch):
-    """The threshold report, and per beta the sampled ``(best, row, checked)``.
-
-    Every beta reads the same whole batches of one level stream, each
-    drawn once, as many as the beta that needs most of them reads.
-    """
-    stream = oracle_level_stream(np.random.default_rng(cfg.seed), batch)
-    batches = []
-
-    def level_draw(beta):
-        read = itertools.count()
-
-        def draw():
-            i = next(read)
-            if i == len(batches):
-                batches.append(stream())
-            return oracle_levels(batches[i], beta, beta, False)
-
-        return draw
-
+def oracle_threshold(cfg):
+    """The threshold report: at each beta, the two-point family's sweep,
+    with the whole-array kernels."""
     rows = []
-    total = 0
     global_best = math.inf
     global_witness = ()
-    tallies = []
     for beta in scans._grid(cfg):
         beta = float(beta)
         ratio = entropy_of_square(beta) / binary_entropy(beta)
         vs = np.linspace(beta, 1.0 - 1e-6, 2001)
         q = beta / vs
         two_point = q * q * oracle_entropy_of_square_arr(vs) - ratio * q * H(vs)
-        i = int(np.argmin(two_point))
-        row_best = float(two_point[i])
-        vstar = float(vs[i])
+        vstar = float(vs[int(np.argmin(two_point))])
         qstar = beta / vstar
         row_witness = (
             beta,
             (qstar, 1.0 - qstar) if qstar < 1.0 else (1.0,),
             (vstar, 0.0) if qstar < 1.0 else (vstar,),
         )
-        sampled, row, got, _ = oracle_worst_rows(
-            cfg.random_samples, level_draw(beta), oracle_product_margins)
-        tallies.append((sampled, row, got))
-        if sampled < row_best:
-            row_witness = oracle_level_witness(row)
-        row_points = vs.size + got
-        total += row_points
         certified = scans._threshold_margin(row_witness)
         rows.append({
             "beta": beta,
             "min_margin": certified,
-            "points": row_points,
+            "points": vs.size,
             "above_golden": beta >= GOLDEN_THRESHOLD - 1e-15,
         })
         if certified < global_best:
             global_best = certified
             global_witness = row_witness
     report = make_report(
-        "threshold", total, global_best, global_witness, cfg.tolerance,
-        config=scans._config_dict(cfg), details={"rows": rows},
+        "threshold", sum(r["points"] for r in rows), global_best, global_witness,
+        cfg.tolerance, config=scans._config_dict(cfg, random_samples=0), details={"rows": rows},
     )
-    return replace(report, passed=True), tallies
+    return replace(report, passed=True)
 
 
 def oracle_bridge_gap(samples, seed, bound, batch):
@@ -363,17 +334,19 @@ def test_kept_level_rows_and_margins_are_the_oracle(seed, below, blocks):
     want_draw = oracle_level_draw(np.random.default_rng(seed), lo, hi, below, blocks)
     for _ in range(2):
         drawn, *batch = draw()
-        counts, w, v, level = select(*batch)
+        rows, level = select(*batch)
+        counts, w, v, _, _ = batch
         keep, ow, ov, olevel = want_draw()
         assert drawn == keep.size == blocks
-        assert counts.size and np.all(np.count_nonzero(w, axis=1) <= counts)
-        for got, want in ((w, ow[keep]), (v, ov[keep]), (level, olevel[keep])):
+        assert rows.size and np.all(np.count_nonzero(w[rows], axis=1) <= counts[rows])
+        assert np.array_equal(rows, np.flatnonzero(keep))
+        for got, want in ((w[rows], ow[keep]), (v[rows], ov[keep]), (level, olevel[keep])):
             assert_same_bits(got, want)
         if below:
-            got = scans._union_margins_arr(counts, w, v, level)
+            got = scans._union_margins_arr(batch, rows, level)
             want = oracle_union_margins(ow[keep], ov[keep], olevel[keep])
         else:
-            got = scans._product_margins_arr(counts, w, v, level)
+            got = scans._product_margins_arr(batch, rows, level)
             want = oracle_product_margins(ow[keep], ov[keep], olevel[keep])
         assert_same_bits(got, want)
 
@@ -396,30 +369,15 @@ def level_cases(draw):
 @given(level_cases(), st.booleans())
 def test_kept_levels_admit_their_rows(case, below):
     lo, hi, mean, u = case
-    tags = np.arange(mean.size)
-    tag, _, _, level = scans._level_select(lo, hi, below)(
-        tags, np.zeros((mean.size, 1)), np.zeros((mean.size, 1)), mean, u)
-    kept = mean[tag]
+    unread = np.zeros((mean.size, 1))
+    rows, level = scans._level_select(lo, hi, below)(unread, unread, unread, mean, u)
+    kept = mean[rows]
     if below:
         assert np.all((kept <= level) & (level <= hi) & (level > lo))
     else:
         assert np.all((lo <= level) & (level <= kept) & (level < hi))
     # a row whose mean is at the admitting end of the range is kept
-    assert set(np.flatnonzero(mean == (lo if below else hi))) <= set(tag)
-
-
-@pytest.mark.parametrize("seed", [42, 7])
-@pytest.mark.parametrize("beta", [0.55, GOLDEN_THRESHOLD, 0.7, 0.999])
-def test_levels_at_one_point_are_that_point(seed, beta):
-    # threshold's select: at lo = hi the level is lo itself, and the rows
-    # kept are exactly those whose mean reaches it
-    _, counts, w, v, mean, u = scans._draw_levels(np.random.default_rng(seed))()
-    got = scans._level_select(beta, beta, below=False)(counts, w, v, mean, u)
-    keep = np.flatnonzero(mean >= beta)
-    assert keep.size
-    assert_same_bits(got[3], np.full(keep.size, beta))
-    for column, whole in zip(got[:3], (counts, w, v)):
-        assert_same_bits(column, whole[keep])
+    assert set(np.flatnonzero(mean == (lo if below else hi))) <= set(rows)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -533,7 +491,7 @@ def test_screen_never_drops_a_row_the_exact_route_keeps(case):
 SMALL = {
     "union-bound": 3000,
     "product-bound": 3000,
-    "threshold": 500,
+    "threshold": 0,
     "optimum-search": 4000,
     "subset-entropy": 1500,
 }
@@ -544,24 +502,9 @@ SMALL = {
 def test_sampled_reports_are_the_oracle(name, seed, blocks, monkeypatch):
     cfg = replace(CHECKS[name].cfg, seed=seed, random_samples=SMALL[name])
     if name == "threshold":
+        # threshold samples nothing: its sweep against the oracle's
         cfg = replace(cfg, grid_step=0.05)
-        # the two-point sweep may set every row's minimum, so the sampled
-        # half is compared through the tallies of the one sampling pass
-        passes = []
-        worst_rows = scans._worst_rows
-        monkeypatch.setattr(scans, "_worst_rows",
-                            lambda *a: passes.append(worst_rows(*a)) or passes[-1])
-        got = scans.threshold_exploration(cfg)
-        want, sampled = oracle_threshold(cfg, blocks)
-        [tallies] = passes
-        assert len(tallies) == len(sampled) == scans._grid(cfg).size
-        for (best, row, checked, _), (want_best, want_row, want_checked) in zip(tallies, sampled):
-            assert best == want_best
-            assert checked == want_checked == SMALL[name]
-            for column, want_column in zip(row[1:], want_row):
-                assert_same_bits(np.asarray(column), np.asarray(want_column))
-            # the kept row owns its data, so no batch's rows outlive the pass
-            assert all(np.asarray(column).base is None for column in row)
+        got, want = scans.threshold_exploration(cfg), oracle_threshold(cfg)
     elif name == "optimum-search":
         got = scans.optimum_search_scan(cfg, pairs=8)
         want = oracle_optimum_search(cfg, pairs=8)
@@ -585,16 +528,22 @@ def test_subset_entropy_union_law_at_every_ground_size(ground_n, seed):
     assert report_text(got) == report_text(oracle_subset_entropy(cfg, ground_n))
 
 
-def test_threshold_draws_one_batch_for_all_its_levels(monkeypatch):
-    # at its registry config threshold keeps 10,000 rows at each of 16 betas
+def test_threshold_draws_no_rows(monkeypatch):
+    # at its registry config threshold is its two-point sweep over 16 betas
     calls = []
     draw_rows = scans._draw_rows
     monkeypatch.setattr(scans, "_draw_rows",
                         lambda rng, m, kmax: calls.append(m) or draw_rows(rng, m, kmax))
     cfg = CHECKS["threshold"].cfg
     report = scans.threshold_exploration(cfg)
-    assert calls == [scans._BATCH]
-    assert [r["points"] for r in report.details["rows"]] == [2001 + cfg.random_samples] * 16
+    assert calls == []
+    assert cfg.random_samples == report.config["random_samples"] == 0
+    assert [r["points"] for r in report.details["rows"]] == [2001] * 16
+    assert report.points_checked == 16 * 2001
+    assert report_text(report) == report_text(oracle_threshold(cfg))
+    # a budget it is given changes nothing, the budget its report records included
+    budgeted = scans.threshold_exploration(replace(cfg, random_samples=500))
+    assert report_text(budgeted) == report_text(report)
 
 
 @pytest.mark.parametrize("seed", [42, 7])

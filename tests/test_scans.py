@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entroset import scans
 from entroset.distribution import FiniteDistribution, random_distribution
@@ -17,6 +19,7 @@ from entroset.kernel import (
     DomainError,
     binary_entropy,
     entropy_rate_arr,
+    inverse_entropy_rate,
     inverse_entropy_rate_arr,
 )
 from entroset.report import (
@@ -277,6 +280,77 @@ class TestExpectationInequalities:
             assert str(chain_err.value) == str(margin_err.value)
 
 
+def threshold_case(rng: np.random.Generator, beta: float) -> FiniteDistribution:
+    """A distribution of 1 to 6 atoms with mean at least beta, up to
+    rounding: random atoms, or half the time a two-point family
+    {(beta/v, v), (1 - beta/v, 0)} with its two atoms split and moved a
+    little, which fails below the golden threshold.  A mean below beta is
+    lifted onto it by v -> 1 - (1 - v) (1 - beta) / (1 - mean)."""
+    k = int(rng.integers(1, 7))
+    if k > 1 and rng.random() < 0.5:
+        top = beta / rng.uniform(beta, 1.0)
+        near = int(rng.integers(1, k))
+        spread = 10.0 ** rng.uniform(-7.0, -1.0)
+        values = np.concatenate([beta / top + spread * rng.standard_normal(near),
+                                 spread * rng.random(k - near)])
+        weights = np.concatenate([top * rng.dirichlet(np.ones(near)),
+                                  (1.0 - top) * rng.dirichlet(np.ones(k - near))])
+        values = np.clip(values, 0.0, 1.0)
+    else:
+        values, weights = rng.random(k), rng.exponential(size=k)
+    weights = weights / weights.sum()
+    mean = float(weights @ values)
+    if mean < beta:
+        values = 1.0 - (1.0 - values) * ((1.0 - beta) / (1.0 - mean))
+    return FiniteDistribution(zip(weights.tolist(), values.tolist()))
+
+
+def threshold_bound(d: FiniteDistribution, beta: float) -> tuple[float, float, float]:
+    """``(margin, bound, v)``: the product-bound margin of d at beta below
+    the golden threshold too, and beta u [S(v) - S(beta)] at the v of the
+    optimum certificate, max(rate^-1(u / t), t), as BoundChain takes it."""
+    t, u = d.mean(), d.expected_entropy()
+    v = max(inverse_entropy_rate(u / t), t) if u > 0.0 else 1.0
+    bound = beta * u * (entropy_sq_ratio_scaled(v) - entropy_sq_ratio_scaled(beta))
+    return product_bound_margin(d, beta, enforce_threshold=False), bound, v
+
+
+def two_point_margin(beta: float, v: float) -> float:
+    q = min(beta / v, 1.0)
+    d = FiniteDistribution([(q, v), (1.0 - q, 0.0)])
+    return product_bound_margin(d, beta, enforce_threshold=False)
+
+
+class TestThresholdFamily:
+    """What threshold's sampled rows used to look for, as the proof gives
+    it: a distribution fails the product bound only where the two-point
+    family at its own v fails too, so the two-point sweep decides every
+    threshold row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.55, 0.70), st.integers(0, 2**32 - 1))
+    def test_margin_is_at_least_the_two_point_bound(self, beta, seed):
+        d = threshold_case(np.random.default_rng(seed), beta)
+        margin, bound, v = threshold_bound(d, beta)
+        # 1e-9 is BoundChain's step bound
+        assert margin >= bound - 1e-9
+        if margin < -1e-9:
+            assert two_point_margin(beta, v) < 0.0
+
+    def test_negative_margins_occur_and_need_a_failing_two_point_family(self):
+        rng = np.random.default_rng(20)
+        negative = 0
+        for _ in range(2000):
+            beta = float(rng.uniform(0.55, 0.70))
+            d = threshold_case(rng, beta)
+            margin, bound, v = threshold_bound(d, beta)
+            assert margin >= bound - 1e-9
+            if margin < -1e-9:
+                negative += 1
+                assert two_point_margin(beta, v) < 0.0
+        assert negative >= 20
+
+
 class TestScanReports:
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -285,6 +359,13 @@ class TestScanReports:
             ScanConfig(range_lo=0.9, range_hi=0.1)
         with pytest.raises(ValueError):
             ScanConfig(random_samples=-1)
+
+    def test_seed_must_be_nonnegative(self):
+        # NumPy refuses a negative seed only once a check draws, so the
+        # config refuses it before any check runs
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            ScanConfig(seed=-1)
+        assert ScanConfig(seed=0).seed == 0
 
     def test_make_report_pass_logic(self):
         r = make_report("demo", 10, -1e-7, (0.5,), 1e-6)
@@ -362,7 +443,7 @@ class TestScanEngines:
 
         cfg = replace(
             CHECKS["threshold"].cfg,
-            range_lo=0.56, range_hi=0.68, grid_step=0.02, random_samples=300,
+            range_lo=0.56, range_hi=0.68, grid_step=0.02,
         )
         r = threshold_exploration(cfg)
         assert r.passed  # exploration never fails the suite
@@ -446,12 +527,15 @@ class TestScanEngines:
 
         def draw():
             keep, vals = next(batches)
-            tags = np.array([next(rows) for _ in vals])
-            return keep.size, vals[keep], tags[keep]
+            return keep.size, keep, vals, np.array([next(rows) for _ in vals])
+
+        def select(keep, vals, tags):
+            kept = np.flatnonzero(keep)
+            return kept, vals[kept]
 
         [(best, row, checked, drawn)] = _worst_rows(
-            draw, [_Consumer(6, lambda vals, tags: vals)])
-        assert (best, row[1]) == (1.0, 6)
+            draw, [_Consumer(6, lambda batch, kept, vals: vals, select)])
+        assert (best, row[2]) == (1.0, 6)
         assert (checked, drawn) == (6, 9)
 
     def test_random_scans_respect_mean_level_preconditions(self):
