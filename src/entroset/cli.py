@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import time
+from contextlib import closing
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -93,8 +94,9 @@ def _write_csv(args, subcommand: str, stem: str, rows: list[list[str]]) -> Path:
 def _write_manifest(
     args, subcommand: str, stem: str, started: float, report_path: Path, **fields,
 ) -> None:
-    """Write the run's manifest; ``fields`` (per-check timings, a reduction's
-    time and merges) are added to it as they are."""
+    """Write the run's manifest; ``fields`` (a check run's workers, wall time
+    and per-check timings, a reduction's time and merges) are added to it
+    as they are."""
     params = {
         k: v for k, v in sorted(vars(args).items())
         if k not in ("func", "out") and v is not None and not callable(v)
@@ -154,32 +156,38 @@ def _check_timing(r: ScanReport, elapsed: float) -> dict:
     }
 
 
-def _run_checks(args, subcommand: str, checks) -> tuple[list[ScanReport], list[dict]]:
+def _run_checks(args, subcommand: str, checks) -> tuple[list[ScanReport], dict]:
     """Run the registry entries ``checks`` under the command line's flags:
     print each report's line and write its JSON report.  Returns the reports
-    and their manifest timings."""
+    and the run's manifest fields: the worker processes that ran the checks,
+    the run's wall time, and each check's own timing, so under more than
+    one worker the checks' times add up to more than the run's."""
     runs = [(check.name, _check_cfg(args, check)) for check in checks]
+    _, workers = _scans._spread(runs, args.alpha, args.tol)
     reports, timings = [], []
-    for r, elapsed in _scans.run_named_scans(runs, alpha=args.alpha, tol=args.tol):
-        timings.append(_check_timing(r, elapsed))
-        reports.append(r)
-        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: min_margin={r.min_margin:.6e} "
-              f"points={r.points_checked} tolerance={r.tolerance:g}")
-        _write_report_json(args, subcommand, r.name, report_to_json(r))
-    return reports, timings
+    t0 = time.perf_counter()
+    # closed on the way out, so an error here also stops the run's workers
+    with closing(_scans.run_named_scans(runs, alpha=args.alpha, tol=args.tol)) as results:
+        for r, elapsed in results:
+            timings.append(_check_timing(r, elapsed))
+            reports.append(r)
+            print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: "
+                  f"min_margin={r.min_margin:.6e} points={r.points_checked} "
+                  f"tolerance={r.tolerance:g}")
+            _write_report_json(args, subcommand, r.name, report_to_json(r))
+    return reports, {"workers": workers, "wall_s": time.perf_counter() - t0, "checks": timings}
 
 
 def cmd_verify_all(args) -> int:
     started = time.time()
     checks = [c for c in _scans.CHECKS.values() if args.only in (None, c.group)]
-    reports, timings = _run_checks(args, "verify-all", checks)
+    reports, run = _run_checks(args, "verify-all", checks)
     passed = sum(1 for r in reports if r.passed)
     print(f"{passed}/{len(reports)} checks passed")
     if args.format == "csv":
         _write_csv(args, "verify-all", "all",
                    [report_csv_header()] + [report_csv_row(r) for r in reports])
-    _write_manifest(args, "verify-all", "all", started, Path(args.out) / "verify-all",
-                    checks=timings)
+    _write_manifest(args, "verify-all", "all", started, Path(args.out) / "verify-all", **run)
     return 0 if passed == len(reports) else 1
 
 
@@ -246,7 +254,7 @@ def _parse_beta_band(text: str) -> tuple[float, float, float]:
 def cmd_scan(args) -> int:
     started = time.time()
     name = args.name
-    [report], timings = _run_checks(args, "scan", [_scans.CHECKS[name]])
+    [report], run = _run_checks(args, "scan", [_scans.CHECKS[name]])
     if name == "threshold":
         rows = [["beta", "min_margin", "points", "above_golden"]]
         for row in report.details.get("rows", []):
@@ -259,8 +267,7 @@ def cmd_scan(args) -> int:
         _write_csv(args, "scan", name, rows)
     elif args.format == "csv":
         _write_csv(args, "scan", name, [report_csv_header(), report_csv_row(report)])
-    _write_manifest(args, "scan", name, started, _report_path(args, "scan", name),
-                    checks=timings)
+    _write_manifest(args, "scan", name, started, _report_path(args, "scan", name), **run)
     return 0 if report.passed else 1
 
 
@@ -405,16 +412,21 @@ def _sample_budgets() -> str:
     )
 
 
-def _config_rule(field: str, convert):
-    """The argparse type of a flag that sets :class:`ScanConfig`'s ``field``:
-    ``convert`` the text, then refuse the value by ScanConfig's rule and
-    with its message."""
+def _rule(check):
+    """The argparse type that reads a flag's text through ``check`` and
+    turns its ValueError into a usage error with its message."""
     def parse(text: str):
         try:
-            return getattr(ScanConfig(**{field: convert(text)}), field)
+            return check(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
+
+
+def _config_rule(field: str, convert):
+    """The argparse type of a flag that sets :class:`ScanConfig`'s ``field``:
+    ``convert`` the text, then refuse the value by ScanConfig's rule."""
+    return _rule(lambda text: getattr(ScanConfig(**{field: convert(text)}), field))
 
 
 def _add_check_flags(p: argparse.ArgumentParser) -> None:
@@ -437,8 +449,9 @@ def _add_check_flags(p: argparse.ArgumentParser) -> None:
                         "golden-anchor; family-sweep (exact), entropy-bridge (fixed "
                         "1e-12 slack) and the fixed residual bounds of "
                         "merge-properties and reduction stay as they are")
-    p.add_argument("--alpha", type=float, default=0.5,
-                   help="rescaling level for rate-convexity (default 0.5)")
+    p.add_argument("--alpha", type=_rule(_scans._rate_alpha), default=0.5,
+                   help="rescaling level for rate-convexity, strictly inside (0, 1) "
+                        "(default 0.5)")
 
 
 def build_parser() -> argparse.ArgumentParser:

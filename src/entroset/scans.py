@@ -53,6 +53,8 @@ Witness layouts by scan name:
 from __future__ import annotations
 
 import math
+import os
+import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator
@@ -1803,24 +1805,45 @@ def _run_cfg(check: Check, cfg: ScanConfig | None, tol: float | None):
     return cfg
 
 
-def run_named_scans(
-    runs: list[tuple[str, ScanConfig | None]],
-    alpha: float = 0.5,
-    tol: float | None = None,
-) -> Iterator[tuple[ScanReport, float]]:
-    """Run registered checks, given as ``(name, cfg)`` pairs, in order.
+def _workers(n_units: int) -> int:
+    """Worker processes for ``n_units`` work units: the CPUs this process
+    may use, at most one per unit."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_units))
 
-    Yields ``(report, seconds)`` for each; ``cfg`` and ``tol`` are read as
-    :func:`run_named_scan` reads them.  When union-bound and product-bound
-    both run at one seed, one pass over their shared level stream
-    (:func:`level_scans`) makes both reports.  Each is still yielded in
-    its own place, and both carry the seconds of that one pass.  A check
-    listed twice, or a ``tol`` that is not finite and >= 0, raises
-    ValueError.
+
+def _run_unit(
+    unit: tuple[tuple[str, ScanConfig | None], ...], alpha: float, tol: float | None,
+) -> tuple[list[ScanReport], float]:
+    """Run one work unit: one check, or the level checks that share one
+    pass.  Returns its reports and the seconds it took."""
+    t0 = time.perf_counter()
+    if len(unit) > 1:
+        reports = level_scans(list(unit))
+    else:
+        [(name, cfg)] = unit
+        reports = [CHECKS[name].run(cfg, alpha, tol)]
+    return reports, time.perf_counter() - t0
+
+
+def _spread(
+    runs: list[tuple[str, ScanConfig | None]], alpha: float, tol: float | None,
+) -> tuple[list[tuple[tuple[str, ScanConfig | None], ...]], int]:
+    """The work units of :func:`run_named_scans` and the worker processes
+    that run them (1: this process).
+
+    A unit is one check with its configuration, except union-bound and
+    product-bound at one seed, which share one unit; units come in the
+    order their first check is listed.  Every argument is checked here,
+    before any unit starts.
     """
     if tol is not None:
         # ScanConfig's rule, also for the checks that take no config
         ScanConfig(tolerance=tol)
+    _rate_alpha(alpha)
     cfgs = {name: _run_cfg(_check(name), cfg, tol) for name, cfg in runs}
     names = [name for name, _ in runs]
     repeated = [name for name in cfgs if names.count(name) > 1]
@@ -1829,20 +1852,76 @@ def run_named_scans(
     shared = [name for name in _LEVEL_CHECKS if name in cfgs]
     if len(shared) < 2 or len({cfgs[name].seed for name in shared}) > 1:
         shared = []
-    done: dict[str, tuple[ScanReport, float]] = {}
-    for name, _ in runs:
-        if name in done:
+    units = dict.fromkeys(tuple(shared) if name in shared else (name,) for name in cfgs)
+    # fork copies the calling thread alone: a lock another thread holds
+    # would stay held in every worker
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    workers = _workers(len(units)) if forkable else 1
+    return [tuple((n, cfgs[n]) for n in unit) for unit in units], workers
+
+
+def _unit_results(units: list, workers: int, alpha: float, tol: float | None) -> Iterator:
+    """``_run_unit``'s result for each unit, in order: on a pool of
+    ``workers`` forked processes, or in this process if ``workers`` is 1.
+
+    Forked workers start from this process as it is: no import to repeat,
+    and a check replaced on the module (a test's stub, a tracer's wrapper)
+    is the one that runs.
+    """
+    if workers < 2:
+        for unit in units:
+            yield _run_unit(unit, alpha, tol)
+        return
+    # imported here: at module level they would add to every command's set-up
+    import concurrent.futures
+    import multiprocessing
+
+    pool = concurrent.futures.ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(_run_unit, unit, alpha, tol) for unit in units]
+        for future in futures:
+            yield future.result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def run_named_scans(
+    runs: list[tuple[str, ScanConfig | None]],
+    alpha: float = 0.5,
+    tol: float | None = None,
+) -> Iterator[tuple[ScanReport, float]]:
+    """Run registered checks, given as ``(name, cfg)`` pairs.
+
+    Yields ``(report, seconds)`` for each, in the order of ``runs``;
+    ``cfg`` and ``tol`` are read as :func:`run_named_scan` reads them, and
+    ``seconds`` is the check's own time.  When union-bound and product-bound
+    both run at one seed, one pass over their shared level stream
+    (:func:`level_scans`) makes both reports.  Each is still yielded in
+    its own place, and both carry the seconds of that one pass.
+
+    Each check, or that shared pass, is one work unit.  With more than one
+    unit and more than one CPU, and no other thread running, the units run
+    on a pool of forked worker processes, at most one per CPU
+    (:func:`_workers`); the reports are the same at any worker count.  A
+    check's exception reaches the caller with its type and message, and
+    no worker outlives the run, also when the caller stops early.
+
+    Before any unit starts, an unknown name, a check listed twice, a
+    ``tol`` that is not finite and >= 0, or an ``alpha`` outside (0, 1)
+    raises ValueError.
+    """
+    units, workers = _spread(runs, alpha, tol)
+    results = _unit_results(units, workers, alpha, tol)
+    try:
+        done: dict[str, tuple[ScanReport, float]] = {}
+        for name, _ in runs:
+            if name not in done:
+                reports, seconds = next(results)
+                done.update((r.name, (r, seconds)) for r in reports)
             yield done.pop(name)
-            continue
-        t0 = time.perf_counter()
-        if name in shared:
-            reports = level_scans([(n, cfgs[n]) for n in shared])
-            seconds = time.perf_counter() - t0
-            done = {r.name: (r, seconds) for r in reports}
-            yield done.pop(name)
-        else:
-            report = CHECKS[name].run(cfgs[name], alpha, tol)
-            yield report, time.perf_counter() - t0
+    finally:
+        results.close()
 
 
 def reevaluate_witness(report: ScanReport) -> float:

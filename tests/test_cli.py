@@ -2,10 +2,12 @@
 
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,8 @@ import entroset
 from entroset.cli import build_parser, main
 from entroset.distribution import FiniteDistribution, load_distribution, reduce_support
 from entroset.kernel import binary_entropy
+from entroset import scans
+from entroset.report import PreconditionError
 from entroset.scans import CHECKS
 
 # Frozen two-point merge oracle, same source as in test_distribution.
@@ -130,6 +134,18 @@ class TestVerifyAll:
         assert main(["scan", "rate-convexity", "--alpha", alpha,
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("alpha", ["2", "0", "nan"])
+    def test_alpha_is_refused_before_any_check_runs(self, tmp_path, capsys, alpha):
+        # rate-convexity's rule, applied where --alpha is parsed: the checks
+        # before rate-convexity neither run nor write
+        out = tmp_path / "r"
+        assert main(["verify-all", "--only", "scans", "--alpha", alpha, "--samples", "300",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "alpha must lie strictly inside (0, 1)" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_bad_group_is_usage_error(self, tmp_path):
         assert main(["verify-all", "--only", "nope", "--out", str(tmp_path)]) == 2
 
@@ -142,11 +158,15 @@ class TestVerifyAll:
         assert lines[0].startswith("name,")
         assert len(lines) == 3
 
-    def test_manifest_times_every_check(self, tmp_path):
+    def test_manifest_times_every_check(self, tmp_path, monkeypatch):
         out = tmp_path / "r"
         assert main(["verify-all", "--only", "kernel", "--out", str(out)]) == 0
         d = out / "verify-all"
-        checks = json.loads((d / "all-42.manifest.json").read_text())["checks"]
+        manifest = json.loads((d / "all-42.manifest.json").read_text())
+        # two checks: up to one worker each, as many as this host has CPUs
+        assert manifest["workers"] == min(len(os.sched_getaffinity(0)), 2)
+        assert manifest["wall_s"] > 0.0
+        checks = manifest["checks"]
         assert [c["name"] for c in checks] == ["kernel-roundtrip", "golden-anchor"]
         for c in checks:
             report = json.loads((d / f"{c['name']}-42.json").read_text())
@@ -174,6 +194,9 @@ class TestVerifyAll:
             (out / "scan" / "optimum-search-42.manifest.json").read_text())["checks"]
         report = json.loads((out / "scan" / "optimum-search-42.json").read_text())
         assert report["details"]["raw_draws"] == report["details"]["pairs"] * 2000
+        # one check never starts a pool
+        assert json.loads(
+            (out / "scan" / "optimum-search-42.manifest.json").read_text())["workers"] == 1
         assert timing["accept_ratio"] == report["points_checked"] / report["details"]["raw_draws"]
         assert 0.0 < timing["accept_ratio"] < 1.0
         # bridge-gap keeps the level-stream rows at levels from the golden
@@ -187,6 +210,19 @@ class TestVerifyAll:
         assert ratio == report["points_checked"] / report["details"]["raw_draws"]
         assert 0.0 < ratio < 1.0
         assert checks["threshold"]["accept_ratio"] is None
+        # the manifest says how many workers ran the checks; each check's
+        # elapsed_s is its own time, so with workers they may add up to
+        # more than the run's wall_s
+        for workers in (2, 1):
+            monkeypatch.setattr(scans, "_workers", lambda units: workers)
+            assert main(["verify-all", "--only", "distribution", "--samples", "2000",
+                         "--out", str(out)]) == 0
+            manifest = json.loads((d / "all-42.manifest.json").read_text())
+            assert manifest["workers"] == workers
+            wall, spent = manifest["wall_s"], sum(c["elapsed_s"] for c in manifest["checks"])
+            assert wall > 0.0 and spent > 0.0
+        # in one process the run's wall time covers every check's own
+        assert wall >= spent
 
     @pytest.mark.parametrize("seed", ["42", "7"])
     def test_shared_level_pass_writes_the_lone_scans_reports(self, tmp_path, capsys, seed):
@@ -221,6 +257,123 @@ class TestVerifyAll:
         doc = json.loads((out / "verify-all" / "golden-anchor-42.json").read_text())
         assert doc["name"] == "golden-anchor"
         assert doc["passed"] is True
+
+
+def run_python(code: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    root = Path(entroset.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+class TestWorkerPool:
+    """verify-all runs its checks on forked workers, up to one per CPU."""
+
+    @pytest.fixture
+    def pooled(self, monkeypatch):
+        """Two workers, whatever this host's CPU count."""
+        monkeypatch.setattr(scans, "_workers", lambda units: 2)
+
+    @pytest.mark.parametrize("seed", ["42", "7"])
+    def test_reports_are_the_same_bytes_at_any_worker_count(
+            self, tmp_path, capsys, monkeypatch, seed):
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(scans, "_workers", lambda units: workers)
+            out = tmp_path / str(workers)
+            capsys.readouterr()
+            assert main(["verify-all", *SAME_FLAGS, "--seed", seed, "--out", str(out)]) == 0
+            printed = capsys.readouterr().out
+            assert [line.split()[1].rstrip(":") for line in printed.splitlines()[:-1]] \
+                == list(CHECKS)
+            d = out / "verify-all"
+            manifest = json.loads((d / f"all-{seed}.manifest.json").read_text())
+            assert manifest["workers"] == workers
+            times = {c["name"]: c["elapsed_s"] for c in manifest["checks"]}
+            assert times["union-bound"] == times["product-bound"] > 0.0
+            runs[workers] = printed, {p.name: p.read_text() for p in sorted(d.iterdir())
+                                      if not p.name.endswith(".manifest.json")}
+        assert len(runs[1][1]) == len(CHECKS)
+        assert runs[1] == runs[2]
+
+    def test_no_worker_outlives_main(self, tmp_path, pooled):
+        assert main(["verify-all", "--only", "kernel", "--out", str(tmp_path)]) == 0
+        assert multiprocessing.active_children() == []
+
+    def test_a_workers_exception_reaches_main(self, tmp_path, capsys, pooled, monkeypatch):
+        def refuse(cfg, alpha, tol):
+            raise PreconditionError("no data for this check")
+
+        monkeypatch.setitem(CHECKS, "threshold", replace(CHECKS["threshold"], run=refuse))
+        out = tmp_path / "r"
+        assert main(["verify-all", "--only", "scans", *SAME_FLAGS, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "precondition violated: no data for this check\n"
+        # every check before threshold printed its line and wrote its report
+        group = [c.name for c in CHECKS.values() if c.group == "scans"]
+        before = group[:group.index("threshold")]
+        assert [line.split()[1].rstrip(":") for line in captured.out.splitlines()] == before
+        assert sorted(p.name for p in (out / "verify-all").iterdir()) \
+            == sorted(f"{name}-42.json" for name in before)
+        assert multiprocessing.active_children() == []
+
+    def test_an_error_writing_a_report_stops_the_workers(self, tmp_path, capsys, pooled,
+                                                         monkeypatch):
+        def full(args, subcommand, stem, doc):
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr("entroset.cli._write_report_json", full)
+        assert main(["verify-all", "--only", "scans", *SAME_FLAGS,
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: No space left on device\n"
+        assert multiprocessing.active_children() == []
+
+    def test_a_dead_worker_fails_the_run_without_hanging(self, tmp_path):
+        proc = run_python(f"""
+import multiprocessing, os
+from dataclasses import replace
+from entroset import scans
+from entroset.cli import main
+scans._workers = lambda units: 2
+scans.CHECKS["golden-anchor"] = replace(
+    scans.CHECKS["golden-anchor"], run=lambda cfg, alpha, tol: os._exit(1))
+try:
+    main(["verify-all", "--only", "kernel", "--out", {str(tmp_path)!r}])
+except Exception as exc:
+    print(type(exc).__name__)
+print(multiprocessing.active_children())
+""")
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.splitlines()[-2:] == ["BrokenProcessPool", "[]"]
+
+    def test_each_line_is_written_once_to_a_file(self, tmp_path):
+        # output written before the pool starts is not flushed again by a
+        # forked worker, and each check's line comes once, in order
+        with (tmp_path / "stdout.txt").open("w") as stdout:
+            proc = run_python(f"""
+import sys
+from entroset import scans
+from entroset.cli import main
+print("started")
+scans._workers = lambda units: 2
+sys.exit(main(["verify-all", "--samples", "2000", "--step", "0.05",
+               "--out", {str(tmp_path / "r")!r}]))
+""", stdout=stdout)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        lines = (tmp_path / "stdout.txt").read_text().splitlines()
+        assert lines[0] == "started"
+        assert [line.split()[1].rstrip(":") for line in lines[1:-1]] == list(CHECKS)
+        assert lines[-1] == f"{len(CHECKS)}/{len(CHECKS)} checks passed"
+
+    def test_importing_the_cli_loads_no_pool(self):
+        # the pool's modules load only when a run uses one, so no command
+        # pays for them at set-up
+        proc = run_python("import sys, entroset.cli; print(sorted(m for m in "
+                          "('multiprocessing', 'concurrent.futures.process') if m in sys.modules))")
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == "[]\n"
 
 
 class TestScan:

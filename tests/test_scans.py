@@ -2,6 +2,9 @@
 
 import json
 import math
+import multiprocessing
+import os
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -433,6 +436,13 @@ class TestScanEngines:
         with pytest.raises(ValueError, match="tolerance must be >= 0"):
             run_named_scan(name, tol=tol)
 
+    @pytest.mark.parametrize("alpha", [2.0, 0.0, math.nan])
+    def test_alpha_is_refused_before_any_check_runs(self, alpha):
+        # sq-ratio does not read alpha; it must not run either
+        runs = [(name, small_cfg(name)) for name in ("sq-ratio", "rate-convexity")]
+        with pytest.raises(ValueError, match=r"alpha must lie strictly inside \(0, 1\)"):
+            next(run_named_scans(runs, alpha=alpha))
+
     def test_rate_convexity_alpha_is_recorded(self):
         r = scan_rate_convexity(0.25, small_cfg("rate-convexity"))
         assert r.config["alpha"] == 0.25
@@ -549,6 +559,85 @@ class TestScanEngines:
                 assert d.mean() <= level + 1e-12
             else:
                 assert d.mean() >= level - 1e-12
+
+
+# ----------------------------------------------------------------------
+# work units on a pool of forked workers
+# ----------------------------------------------------------------------
+
+def refuse(cfg, alpha, tol):
+    raise PreconditionError("no data for this check")
+
+
+class TestWorkUnits:
+    """``run_named_scans`` runs each check, or the shared level pass, as one
+    unit; with more than one worker the units run on a forked pool."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        """Set the worker count, whatever this host's CPU count."""
+        def use(n):
+            monkeypatch.setattr(scans, "_workers", lambda units: n)
+        return use
+
+    def test_any_worker_count_yields_the_same_reports_in_order(self, workers):
+        # the shared level pass is listed apart and in reverse, so its two
+        # reports still come in the caller's places
+        names = ["product-bound", *(n for n in SCAN_NAMES if "-bound" not in n), "union-bound"]
+        runs = [(name, small_cfg(name)) for name in names]
+        got = {}
+        for n in (1, 2):
+            workers(n)
+            results = list(run_named_scans(runs))
+            assert [r.name for r, _ in results] == names
+            assert all(seconds > 0.0 for _, seconds in results)
+            assert results[0][1] == results[-1][1]
+            got[n] = [report_text(r) for r, _ in results]
+            for report, _ in results:
+                assert reevaluate_witness(report) == report.min_margin
+        assert got[1] == got[2]
+        assert multiprocessing.active_children() == []
+
+    def test_units_and_their_workers(self):
+        # one check runs in this process
+        units, n = scans._spread([("sq-ratio", None)], 0.5, None)
+        assert (len(units), n) == (1, 1)
+        units, n = scans._spread([(name, None) for name in SCAN_NAMES], 0.5, None)
+        # union-bound and product-bound share one unit
+        assert len(units) == len(SCAN_NAMES) - 1
+        assert n == min(len(os.sched_getaffinity(0)), len(units))
+
+    def test_a_process_with_threads_runs_in_itself(self):
+        # fork copies the calling thread alone, so with another thread
+        # running the units stay in this process
+        runs = [(name, None) for name in SCAN_NAMES]
+        release = threading.Event()
+        waiting = threading.Thread(target=release.wait, args=(60,))
+        waiting.start()
+        try:
+            assert scans._spread(runs, 0.5, None)[1] == 1
+        finally:
+            release.set()
+            waiting.join(60)
+        assert not waiting.is_alive()
+
+    def test_a_workers_exception_follows_the_earlier_reports(self, workers, monkeypatch):
+        workers(2)
+        monkeypatch.setitem(CHECKS, "threshold", replace(CHECKS["threshold"], run=refuse))
+        got = []
+        with pytest.raises(PreconditionError, match="^no data for this check$"):
+            for report, _ in run_named_scans([(n, small_cfg(n)) for n in SCAN_NAMES]):
+                got.append(report.name)
+        assert got == list(SCAN_NAMES[:SCAN_NAMES.index("threshold")])
+        assert multiprocessing.active_children() == []
+
+    def test_closing_the_run_early_stops_its_workers(self, workers):
+        workers(2)
+        run = run_named_scans([(n, small_cfg(n)) for n in SCAN_NAMES])
+        report, _ = next(run)
+        assert report.name == SCAN_NAMES[0]
+        run.close()
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
