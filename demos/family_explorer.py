@@ -13,7 +13,7 @@ the bridge from set families to subset-valued distributions where the
 entropy argument actually runs.
 """
 
-from entroset.kernel import FREQUENCY_BOUND, binary_entropy
+from entroset.kernel import FREQUENCY_BOUND, entropy_sq_ratio
 from entroset.setfamily import (
     SetFamily,
     SubsetDistribution,
@@ -99,9 +99,8 @@ def main() -> None:
         atoms.append((p, mask))
     d = SubsetDistribution(ground_n, atoms)
     margin = union_entropy_margin(d, alpha)
-    ratio = binary_entropy(alpha * alpha) / binary_entropy(alpha)
     print(f"  coordinates independently present with probability {alpha}")
-    print(f"  required ratio H(alpha^2)/H(alpha) = {ratio:.9f}")
+    print(f"  required ratio H(alpha^2)/H(alpha) = {entropy_sq_ratio(alpha):.9f}")
     print(f"  margin H(A|B) - ratio * H(A) = {margin:+.9f}")
 
     section("Uniform bridge over all small closed families")

@@ -32,6 +32,7 @@ from .kernel import (
     binary_entropy_arr,
     entropy_rate,
     entropy_rate_arr,
+    entropy_sq_ratio,
     inverse_entropy_rate,
     inverse_entropy_rate_arr,
 )
@@ -61,7 +62,6 @@ from .scans import (
     BoundChain,
     complement_bridge_gap,
     composed_rate,
-    entropy_sq_ratio,
     entropy_sq_ratio_scaled,
     product_bound_chain,
     product_bound_margin,
@@ -98,6 +98,7 @@ __all__ = [
     "binary_entropy_arr",
     "entropy_rate",
     "entropy_rate_arr",
+    "entropy_sq_ratio",
     "inverse_entropy_rate",
     "inverse_entropy_rate_arr",
     # distribution
@@ -124,7 +125,6 @@ __all__ = [
     "BoundChain",
     "complement_bridge_gap",
     "composed_rate",
-    "entropy_sq_ratio",
     "entropy_sq_ratio_scaled",
     "product_bound_chain",
     "product_bound_margin",

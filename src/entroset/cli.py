@@ -9,7 +9,8 @@ Subcommands
 * ``family``      set-family tools: check, closure, enumerate, entropy
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 usage or
-parse error, 3 a precondition on user data was violated.
+parse error, 3 a precondition on user data was violated, 4 a worker
+process of the run died.
 
 Reports land under ``<out>/<subcommand>/<name>-<seed>.json`` with CSV
 siblings sharing the stem, and are byte-stable for fixed seed and flags;
@@ -530,6 +531,15 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # a worker that dies breaks the pool; like the pool itself, this
+        # module is imported only on the path that needs it
+        from concurrent.futures import BrokenExecutor
+
+        if not isinstance(exc, BrokenExecutor):
+            raise
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

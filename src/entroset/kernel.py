@@ -2,10 +2,15 @@
 
 Scalar primitives for the entropy of a biased coin and for the rate map
 ``H(x)/x`` that drives everything else in this package: the rate, its
-closed-form derivative, and the numerical inverse of the rate.  Array
-versions of the hot primitives are provided for the bulk scan engines;
-they use the same formulas and are cross-checked against the scalar path
-in the test suite.  ``binary_entropy_arr``, which the others call, works
+closed-form derivative, and the numerical inverse of the rate.  The
+constants of the three bounds live here too, so that the scans and the
+set-family margins read one definition: R(x) = H(x^2)/H(x)
+(``entropy_sq_ratio``) is the product bound's constant at level x and the
+subset bound's at level alpha, and ``union_ratio(a)`` = H(2a - a^2)/H(a)
+is the union bound's, R(1 - a) computed from a.  Array versions of the
+hot primitives are provided for the bulk scan engines; they use the same
+formulas and are cross-checked against the scalar path in the test
+suite.  ``binary_entropy_arr``, which the others call, works
 through its input in blocks of ``_BLOCK`` elements with in-place ufuncs,
 so a large call's temporaries stay in cache.  The inverse is one
 algorithm in both forms: a guess from a table of the rate built once at
@@ -38,11 +43,15 @@ __all__ = [
     "as_prob",
     "binary_entropy",
     "entropy_of_square",
+    "entropy_sq_ratio",
+    "union_ratio",
     "entropy_rate",
     "entropy_rate_deriv",
     "inverse_entropy_rate",
     "binary_entropy_arr",
     "entropy_of_square_arr",
+    "entropy_sq_ratio_arr",
+    "union_ratio_arr",
     "entropy_rate_arr",
     "inverse_entropy_rate_arr",
 ]
@@ -111,16 +120,43 @@ def entropy_of_square(x: float) -> float:
     direct squaring would lose it.
     """
     v = as_prob(x, "x")
+    c = v * v if v <= 0.7 else (1.0 - v) * (1.0 + v)
+    return _h(c) if c > 0.0 else 0.0
+
+
+def entropy_sq_ratio(x: float) -> float:
+    """R(x) = H(x^2) / H(x), extended by its limits R(0) = 0 and R(1) = 2.
+
+    The product bound's constant at level x, and the subset bound's at
+    level alpha.  Strictly increasing on [0, 1]; R equals 1 exactly at the
+    golden threshold where x^2 = 1 - x.  Both entropies keep full relative
+    precision as x -> 1 (see :func:`entropy_of_square`), so the quotient
+    needs no other form there.
+    """
+    v = as_prob(x)
     if v == 0.0:
         return 0.0
     if v == 1.0:
+        return 2.0
+    return entropy_of_square(v) / binary_entropy(v)
+
+
+def union_ratio(a: float) -> float:
+    """H(2a - a^2) / H(a), extended by its limits 2 at a = 0 and 0 at a = 1.
+
+    The union bound's constant at level a.  It is R(1 - a), since
+    1 - (1 - a)^2 = 2a - a^2, but computed from a: forming 1 - a first
+    rounds away the low bits of a small a, and once 1 - a rounds to 1 the
+    quotient is 0/0.  Good to a few ulps for a up to 1/2, which holds the
+    bound's levels (0, FREQUENCY_BOUND]; toward a = 1, 2a - a^2 rounds
+    toward 1, and R(1 - a) is the accurate form there.
+    """
+    v = as_prob(a, "a")
+    if v == 0.0:
+        return 2.0
+    if v == 1.0:
         return 0.0
-    if v <= 0.7:
-        return _h(v * v)
-    c = (1.0 - v) * (1.0 + v)
-    if c == 0.0:
-        return 0.0
-    return _h(c)
+    return binary_entropy(v * (2.0 - v)) / binary_entropy(v)
 
 
 def entropy_rate(x: float) -> float:
@@ -213,6 +249,22 @@ def entropy_of_square_arr(x: np.ndarray) -> np.ndarray:
     """Elementwise H(x^2) with the cancellation-free complement branch."""
     x = np.asarray(x, dtype=float)
     return binary_entropy_arr(np.where(x > 0.7, (1.0 - x) * (1.0 + x), x * x))
+
+
+def entropy_sq_ratio_arr(x: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`entropy_sq_ratio`, with the same ends."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(invalid="ignore"):
+        r = entropy_of_square_arr(x) / binary_entropy_arr(x)
+    return np.where(x == 0.0, 0.0, np.where(x == 1.0, 2.0, r))
+
+
+def union_ratio_arr(a: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`union_ratio`, with the same ends."""
+    a = np.asarray(a, dtype=float)
+    with np.errstate(invalid="ignore"):
+        r = binary_entropy_arr(a * (2.0 - a)) / binary_entropy_arr(a)
+    return np.where(a == 0.0, 2.0, np.where(a == 1.0, 0.0, r))
 
 
 def entropy_rate_arr(x: np.ndarray) -> np.ndarray:

@@ -9,18 +9,23 @@ seen.
 
 Curves, all in bits unless noted:
 
-* ``entropy_sq_ratio``        R(x) = H(x^2) / H(x), increasing on (0, 1)
-* ``entropy_sq_ratio_scaled`` S(x) = H(x^2) / (x H(x)), increasing past the
-  golden threshold
+* ``entropy_sq_ratio``        R(x) = H(x^2) / H(x), increasing on (0, 1);
+  defined in :mod:`entroset.kernel` and re-exported here
+* ``entropy_sq_ratio_scaled`` S(x) = R(x) / x, increasing past the golden
+  threshold
 * ``composed_rate``           x -> f(a * g(x)), convex for 0 < a < 1
 * ``tail_rate``               z -> -(1 - z) ln(1 - z) / z in NATS, decreasing
 
 Expectation inequalities over finite distributions:
 
-* ``union_bound_margin``      pairwise-union entropy vs H(2a - a^2)/H(a)
-  times the expected entropy, for means at most a <= FREQUENCY_BOUND
-* ``product_bound_margin``    pairwise-product entropy vs H(b^2)/H(b) times
-  the expected entropy, for means at least b >= GOLDEN_THRESHOLD
+* ``union_bound_margin``      pairwise-union entropy vs ``union_ratio(a)``
+  = H(2a - a^2)/H(a) times the expected entropy, for means at most
+  a <= FREQUENCY_BOUND
+* ``product_bound_margin``    pairwise-product entropy vs R(b) times the
+  expected entropy, for means at least b >= GOLDEN_THRESHOLD
+
+The subset form (``subset-entropy``) reads R(alpha).  Each constant is
+written once, in the kernel, as a scalar and array pair.
 
 The two are images of each other under value complement (w = 1 - v,
 b = 1 - a); ``complement_bridge_gap`` measures how closely the two code
@@ -73,7 +78,6 @@ from .kernel import (
     FREQUENCY_BOUND,
     GOLDEN_THRESHOLD,
     KERNEL_TOL,
-    LOG2E,
     DomainError,
     as_prob,
     binary_entropy,
@@ -82,8 +86,12 @@ from .kernel import (
     entropy_of_square_arr,
     entropy_rate,
     entropy_rate_arr,
+    entropy_sq_ratio,
+    entropy_sq_ratio_arr,
     inverse_entropy_rate,
     inverse_entropy_rate_arr,
+    union_ratio,
+    union_ratio_arr,
 )
 from .report import PreconditionError, ScanConfig, ScanReport, make_report
 from .setfamily import (
@@ -183,29 +191,6 @@ BRIDGE_TOL = 1e-12
 # curve families
 # ----------------------------------------------------------------------
 
-def _h_near_one(delta: float) -> float:
-    """Two-term series for H(1 - delta) in bits, accurate for delta <= 1e-8."""
-    return delta * (LOG2E - math.log2(delta))
-
-
-def entropy_sq_ratio(x: float) -> float:
-    """R(x) = H(x^2) / H(x), extended by its limits R(0) = 0 and R(1) = 2.
-
-    Strictly increasing on [0, 1]; R equals 1 exactly at the golden
-    threshold where x^2 = 1 - x.  Near x = 1 both entropies vanish, so the
-    ratio switches to a series in the complement to dodge 0/0 noise.
-    """
-    x = as_prob(x)
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 2.0
-    eps = 1.0 - x
-    if eps < 1e-8:
-        return _h_near_one(eps * (2.0 - eps)) / _h_near_one(eps)
-    return entropy_of_square(x) / binary_entropy(x)
-
-
 def entropy_sq_ratio_scaled(x: float) -> float:
     """S(x) = H(x^2) / (x H(x)) with limits S(0) = S(1) = 2.
 
@@ -216,30 +201,6 @@ def entropy_sq_ratio_scaled(x: float) -> float:
     if x == 0.0:
         return 2.0
     return entropy_sq_ratio(x) / x
-
-
-def entropy_sq_ratio_arr(x: np.ndarray) -> np.ndarray:
-    """Vector mirror of :func:`entropy_sq_ratio`."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    eps = 1.0 - x
-    at_zero = x == 0.0
-    at_one = eps == 0.0
-    near_one = (eps < 1e-8) & ~at_one
-    mid = ~(at_zero | at_one | near_one)
-    out[at_zero] = 0.0
-    out[at_one] = 2.0
-    if near_one.any():
-        e = eps[near_one]
-        e2 = e * (2.0 - e)
-        with np.errstate(divide="ignore"):
-            num = e2 * (LOG2E - np.log2(e2))
-            den = e * (LOG2E - np.log2(e))
-        out[near_one] = num / den
-    if mid.any():
-        xm = x[mid]
-        out[mid] = entropy_of_square_arr(xm) / binary_entropy_arr(xm)
-    return out
 
 
 def entropy_sq_ratio_scaled_arr(x: np.ndarray) -> np.ndarray:
@@ -322,9 +283,9 @@ def union_bound_margin(d: FiniteDistribution, alpha: float) -> float:
     """Margin of the pairwise-union entropy bound at level ``alpha``.
 
     For mean(d) <= alpha <= FREQUENCY_BOUND, the expected entropy of
-    independent pairwise unions dominates H(2 alpha - alpha^2) / H(alpha)
-    times the expected entropy.  Returns left side minus right side;
-    nonnegative means the bound holds.
+    independent pairwise unions dominates ``union_ratio(alpha)`` =
+    H(2 alpha - alpha^2) / H(alpha) times the expected entropy.  Returns
+    left side minus right side; nonnegative means the bound holds.
 
     Raises :class:`PreconditionError` when (d, alpha) violates the
     hypothesis, since a margin computed there certifies nothing.
@@ -345,8 +306,7 @@ def union_bound_margin(d: FiniteDistribution, alpha: float) -> float:
         for wi, vi in atoms
         for wj, vj in atoms
     )
-    ratio = binary_entropy(alpha * (2.0 - alpha)) / binary_entropy(alpha)
-    return lhs - ratio * d.expected_entropy()
+    return lhs - union_ratio(alpha) * d.expected_entropy()
 
 
 def product_bound_margin(
@@ -355,8 +315,8 @@ def product_bound_margin(
     """Margin of the pairwise-product entropy bound at level ``beta``.
 
     For mean(d) >= beta >= GOLDEN_THRESHOLD, the expected joint entropy
-    dominates H(beta^2) / H(beta) times the expected entropy.  Returns
-    left side minus right side.
+    dominates R(beta) = H(beta^2) / H(beta) times the expected entropy.
+    Returns left side minus right side.
 
     ``enforce_threshold=False`` drops both hypothesis checks so the same
     margin can be explored below the golden threshold, where it does fail.
@@ -376,8 +336,7 @@ def product_bound_margin(
             )
     elif beta == 0.0:
         raise PreconditionError("beta must be positive")
-    ratio = entropy_of_square(beta) / binary_entropy(beta)
-    return d.expected_joint_entropy() - ratio * d.expected_entropy()
+    return d.expected_joint_entropy() - entropy_sq_ratio(beta) * d.expected_entropy()
 
 
 def complement_bridge_gap(d: FiniteDistribution, beta: float) -> float:
@@ -923,14 +882,11 @@ def _pair_margins(batch, rows, ratio, pairs) -> np.ndarray:
 
 
 def _union_margins_arr(batch, rows, alpha) -> np.ndarray:
-    mix = np.clip(alpha * (2.0 - alpha), 0.0, 1.0)
-    ratio = binary_entropy_arr(mix) / binary_entropy_arr(alpha)
-    return _pair_margins(batch, rows, ratio, _union_pairs)
+    return _pair_margins(batch, rows, union_ratio_arr(alpha), _union_pairs)
 
 
 def _product_margins_arr(batch, rows, beta) -> np.ndarray:
-    ratio = entropy_of_square_arr(beta) / binary_entropy_arr(beta)
-    return _pair_margins(batch, rows, ratio, _product_pairs)
+    return _pair_margins(batch, rows, entropy_sq_ratio_arr(beta), _product_pairs)
 
 
 def _level_witness(row: tuple) -> tuple:
@@ -1057,7 +1013,7 @@ def threshold_exploration(cfg: ScanConfig) -> ScanReport:
     global_best = math.inf
     global_witness: tuple = ()
     for beta in (float(b) for b in _grid(cfg)):
-        ratio = entropy_of_square(beta) / binary_entropy(beta)
+        ratio = entropy_sq_ratio(beta)
         vs = np.linspace(beta, 1.0 - 1e-6, 2001)
         q = beta / vs
         two_point = q * q * entropy_of_square_arr(vs) - ratio * q * binary_entropy_arr(vs)
@@ -1490,8 +1446,7 @@ def subset_entropy_scan(cfg: ScanConfig, ground_n: int = 4) -> ScanReport:
         codes = (np.arange(n)[:, None] * n_masks + uni).ravel()
         pun = np.bincount(codes, weights=(p[:, :, None] * p[:, None, :]).ravel(),
                           minlength=n * n_masks).reshape(n, n_masks)
-        ratio = binary_entropy_arr(a * a) / binary_entropy_arr(a)
-        return _shannon_rows(pun) - ratio * _shannon_rows(p)
+        return _shannon_rows(pun) - entropy_sq_ratio_arr(a) * _shannon_rows(p)
 
     [(best, row, checked, drawn)] = _worst_rows(
         draw, [_Consumer(cfg.random_samples, margins, select)]

@@ -30,7 +30,8 @@ Two margins live here:
 * ``union_entropy_margin``: for independent samples A, B from a subset
   distribution whose element marginals stay at or below a level
   alpha <= FREQUENCY_BOUND, the entropy of A union B dominates
-  H(alpha^2)/H(alpha) times the entropy of A.
+  R(alpha) = H(alpha^2)/H(alpha) times the entropy of A (R is the
+  kernel's ``entropy_sq_ratio``).
 
 The uniform-distribution bridge ties them together: a union-closed support
 keeps the union distribution inside the family, so the uniform entropy
@@ -47,7 +48,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .kernel import FREQUENCY_BOUND, binary_entropy, as_prob
+from .kernel import FREQUENCY_BOUND, as_prob, entropy_sq_ratio
 from .report import PreconditionError
 
 __all__ = [
@@ -398,9 +399,9 @@ def union_entropy_margin(
     """Margin of the subset-level union entropy bound at level ``alpha``.
 
     For element marginals all <= alpha <= FREQUENCY_BOUND, the entropy of
-    A | B dominates H(alpha^2)/H(alpha) times the entropy of A.  Returns
-    the left side minus the right side.  A caller that already holds
-    ``union_distribution(d)`` passes it as ``union``.
+    A | B dominates R(alpha) = H(alpha^2)/H(alpha) times the entropy of A.
+    Returns the left side minus the right side.  A caller that already
+    holds ``union_distribution(d)`` passes it as ``union``.
     """
     alpha = as_prob(alpha, "alpha")
     if not (0.0 < alpha <= FREQUENCY_BOUND + 1e-15):
@@ -413,10 +414,9 @@ def union_entropy_margin(
             f"an element marginal {worst!r} exceeds alpha {alpha!r}; "
             "the bound needs every marginal at or below alpha"
         )
-    ratio = binary_entropy(alpha * alpha) / binary_entropy(alpha)
     if union is None:
         union = union_distribution(d)
-    return union.entropy() - ratio * d.entropy()
+    return union.entropy() - entropy_sq_ratio(alpha) * d.entropy()
 
 
 def _enum_ground(ground_n: int) -> int:

@@ -31,8 +31,12 @@ from entroset.kernel import (
     entropy_rate,
     entropy_rate_arr,
     entropy_rate_deriv,
+    entropy_sq_ratio,
+    entropy_sq_ratio_arr,
     inverse_entropy_rate,
     inverse_entropy_rate_arr,
+    union_ratio,
+    union_ratio_arr,
 )
 
 mpmath.mp.dps = 50
@@ -210,6 +214,46 @@ class TestEntropyOfSquare:
     def test_endpoints(self):
         assert entropy_of_square(0.0) == 0.0
         assert entropy_of_square(1.0) == 0.0
+
+    def test_a_square_that_underflows_has_zero_entropy(self):
+        assert entropy_of_square(1e-200) == 0.0
+        assert entropy_of_square_arr(np.array([1e-200]))[0] == 0.0
+
+
+class TestBoundConstants:
+    def test_union_ratio_matches_mpmath(self):
+        # the union bound's constant is computed from a, so it keeps full
+        # relative precision down to the smallest levels
+        rng = np.random.default_rng(20)
+        a = np.concatenate([
+            np.geomspace(1e-16, FREQUENCY_BOUND, 60)[1:],
+            np.exp(rng.uniform(math.log(1e-16), math.log(FREQUENCY_BOUND), 200)),
+        ])
+        for x, got in zip(a.tolist(), union_ratio_arr(a)):
+            am = mpmath.mpf(x)
+            y = 2 * am - am * am
+            expected = float(mpmath.mpf(mp_entropy(y)) / mpmath.mpf(mp_entropy(am)))
+            assert union_ratio(x) == pytest.approx(expected, rel=1e-14)
+            assert got == pytest.approx(expected, rel=1e-14)
+
+    def test_union_ratio_is_the_ratio_at_the_complement(self):
+        # R(1 - a) at levels where 1 - a is exact, and 1 at the bound itself
+        for a in (0.125, 0.25, 0.375, 0.5):
+            assert union_ratio(a) == pytest.approx(entropy_sq_ratio(1.0 - a), rel=1e-15)
+        assert union_ratio(FREQUENCY_BOUND) == pytest.approx(1.0, rel=1e-15)
+        assert (union_ratio(0.0), union_ratio(1.0)) == (2.0, 0.0)
+
+    @pytest.mark.parametrize("scalar, array", [
+        (entropy_sq_ratio, entropy_sq_ratio_arr),
+        (union_ratio, union_ratio_arr),
+    ])
+    def test_scalar_and_array_forms_agree(self, scalar, array):
+        xs = np.concatenate([
+            [0.0, 0.7, 1.0 - 2.0 ** -53, 1.0],
+            np.random.default_rng(21).random(2000),
+        ])
+        want = np.array([scalar(x) for x in xs.tolist()])
+        np.testing.assert_array_max_ulp(array(xs), want, maxulp=4)
 
 
 class TestEntropyRate:

@@ -95,32 +95,30 @@ class TestCurveFamilies:
         assert entropy_sq_ratio(0.0) == 0.0
         assert entropy_sq_ratio(1.0) == 2.0
         assert entropy_sq_ratio(GOLDEN_THRESHOLD) == 1.0
-        # The limit at 1 is 2, approached only logarithmically; what can
-        # be checked tightly is the series branch against high precision.
+        # The limit at 1 is 2, approached only logarithmically.  Both
+        # entropies keep their relative precision as x -> 1, so the one
+        # formula, in both forms, stays within a few ulps of a 50-digit
+        # value at complements from 1e-15 up, on both sides of 1e-8.
         import mpmath as mp
 
         mp.mp.dps = 50
-        for x in (1.0 - 1e-9, 1.0 - 1e-12):
+
+        def h(t):
+            return -(t * mp.log(t, 2) + (1 - t) * mp.log(1 - t, 2))
+
+        xs = 1.0 - np.concatenate([np.geomspace(1e-15, 1e-8, 50),
+                                   [0.9999999e-8, 1.0000001e-8, 1e-7, 1e-6]])
+        for x, got in zip(xs.tolist(), entropy_sq_ratio_arr(xs)):
             xm = mp.mpf(x)
-
-            def h(t):
-                return -(t * mp.log(t, 2) + (1 - t) * mp.log(1 - t, 2))
-
             expected = float(h(xm * xm) / h(xm))
-            assert entropy_sq_ratio(x) == pytest.approx(expected, rel=1e-9)
+            assert entropy_sq_ratio(x) == pytest.approx(expected, rel=1e-14)
+            assert got == pytest.approx(expected, rel=1e-14)
             assert expected < 2.0
 
     def test_sq_ratio_increasing(self):
         xs = np.linspace(1e-4, 1.0 - 1e-4, 2000)
         vals = entropy_sq_ratio_arr(xs)
         assert np.all(np.diff(vals) > 0.0)
-
-    def test_sq_ratio_series_branch_is_continuous(self):
-        # The series takes over below complement 1e-8; the two branches
-        # must agree to well under the scan tolerance at the switch.
-        lo = entropy_sq_ratio(1.0 - 1.0000001e-8)
-        hi = entropy_sq_ratio(1.0 - 0.9999999e-8)
-        assert abs(hi - lo) < 1e-7
 
     def test_scaled_ratio_anchors(self):
         assert entropy_sq_ratio_scaled(0.0) == 2.0
@@ -281,6 +279,41 @@ class TestExpectationInequalities:
             with pytest.raises(PreconditionError) as margin_err:
                 product_bound_margin(d, beta)
             assert str(chain_err.value) == str(margin_err.value)
+
+
+class TestSharpness:
+    """A level check fails once its constant is raised slightly, so it
+    tests the statement it claims and not a weaker one.  The constant's
+    scalar and array pair, as ``scans`` reads it, is scaled by 1 + eps;
+    the witness must then replay negative under the same scaling."""
+
+    CONSTANTS = {
+        "union-bound": ("union_ratio", "union_ratio_arr"),
+        "product-bound": ("entropy_sq_ratio", "entropy_sq_ratio_arr"),
+    }
+
+    @staticmethod
+    def raised(monkeypatch, name, eps):
+        for attr in TestSharpness.CONSTANTS[name]:
+            fn = getattr(scans, attr)
+            monkeypatch.setattr(scans, attr, lambda x, fn=fn: fn(x) * (1.0 + eps))
+
+    @pytest.mark.parametrize("seed", [42, 7, 1])
+    @pytest.mark.parametrize("name", ["union-bound", "product-bound"])
+    def test_a_raised_constant_fails_the_check(self, monkeypatch, name, seed):
+        cfg = replace(CHECKS[name].cfg, random_samples=5000, seed=seed)
+        self.raised(monkeypatch, name, 1e-4)
+        report = run_named_scan(name, cfg)
+        assert not report.passed
+        assert reevaluate_witness(report) == report.min_margin < 0.0
+
+    @pytest.mark.parametrize("name", ["union-bound", "product-bound"])
+    def test_the_constant_itself_passes(self, monkeypatch, name):
+        cfg = replace(CHECKS[name].cfg, random_samples=5000)
+        self.raised(monkeypatch, name, 0.0)
+        report = run_named_scan(name, cfg)
+        assert report.passed
+        assert reevaluate_witness(report) == report.min_margin >= 0.0
 
 
 def threshold_case(rng: np.random.Generator, beta: float) -> FiniteDistribution:
