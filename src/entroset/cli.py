@@ -386,7 +386,7 @@ def cmd_family_entropy(args) -> int:
     if margin is not None:
         print(f"union entropy margin at alpha={worst!r}: {margin!r}")
     else:
-        print(f"max marginal {worst!r} above {FREQUENCY_BOUND}; no level to check")
+        print(f"max marginal {worst!r} outside (0, {FREQUENCY_BOUND}]; no level to check")
     path = _write_report_json(args, "family", "entropy", doc)
     _write_manifest(args, "family", "entropy", started, path)
     return 0

@@ -26,10 +26,11 @@ Numerical contracts (shared with the test suite):
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .kernel import (
     DomainError,
@@ -132,22 +133,28 @@ class FiniteDistribution:
         """Expected binary entropy, sum of w * H(v)."""
         return math.fsum(w * binary_entropy(v) for w, v in self.atoms)
 
-    def expected_joint_entropy(self) -> float:
-        """Full double sum over independent pairs: sum of w_i w_j H(v_i * v_j).
+    def expected_pair_entropy(self, pair: Callable[[float, float], float]) -> float:
+        """Full double sum over independent pairs: sum of w_i w_j H(pair(v_i, v_j)).
 
-        Each unordered pair is evaluated once and doubled.  The (j, i) term
-        has the same bits as the (i, j) term and doubling is exact, so the
-        correctly rounded ``math.fsum`` equals that of the full double sum.
+        ``pair`` must be symmetric in its bits, as ``+`` and ``*`` are in
+        IEEE arithmetic.  Each unordered pair is then evaluated once and
+        doubled: the (j, i) term has the same bits as the (i, j) term and
+        doubling is exact, so the correctly rounded ``math.fsum`` equals
+        that of the full double sum.
         """
         atoms = self.atoms
         return math.fsum(chain(
-            (w * w * binary_entropy(v * v) for w, v in atoms),
+            (w * w * binary_entropy(pair(v, v)) for w, v in atoms),
             (
-                2.0 * (wi * wj * binary_entropy(vi * vj))
+                2.0 * (wi * wj * binary_entropy(pair(vi, vj)))
                 for i, (wi, vi) in enumerate(atoms)
                 for wj, vj in atoms[i + 1:]
             ),
         ))
+
+    def expected_joint_entropy(self) -> float:
+        """Expected entropy of independent pairwise products, sum of w_i w_j H(v_i v_j)."""
+        return self.expected_pair_entropy(operator.mul)
 
     def nonzero_atoms(self) -> tuple[tuple[float, float], ...]:
         return tuple((w, v) for w, v in self.atoms if v > 0.0)

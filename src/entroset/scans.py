@@ -129,8 +129,6 @@ __all__ = [
     "scan_sq_ratio_scaled",
     "scan_rate_convexity",
     "scan_tail_rate",
-    "scan_union_bound",
-    "scan_product_bound",
     "level_scans",
     "bridge_gap_scan",
     "threshold_exploration",
@@ -300,13 +298,7 @@ def union_bound_margin(d: FiniteDistribution, alpha: float) -> float:
         raise PreconditionError(
             f"mean {mean!r} exceeds alpha {alpha!r}; the bound needs mean <= alpha"
         )
-    atoms = d.atoms
-    lhs = math.fsum(
-        wi * wj * binary_entropy(_pair_union(vi, vj))
-        for wi, vi in atoms
-        for wj, vj in atoms
-    )
-    return lhs - union_ratio(alpha) * d.expected_entropy()
+    return d.expected_pair_entropy(_pair_union) - union_ratio(alpha) * d.expected_entropy()
 
 
 def product_bound_margin(
@@ -940,22 +932,6 @@ def level_scans(runs: list[tuple[str, ScanConfig]]) -> list[ScanReport]:
     ]
 
 
-def scan_union_bound(cfg: ScanConfig) -> ScanReport:
-    """Randomized check of the union bound on (d, alpha) with mean <= alpha.
-
-    Levels are drawn from (range_lo, range_hi].
-    """
-    return level_scans([("union-bound", cfg)])[0]
-
-
-def scan_product_bound(cfg: ScanConfig) -> ScanReport:
-    """Randomized check of the product bound on (d, beta) with mean >= beta.
-
-    Levels are drawn from [range_lo, range_hi).
-    """
-    return level_scans([("product-bound", cfg)])[0]
-
-
 def _bridge_margin(bound: float, witness: tuple) -> float:
     """``bound`` minus the complement gap at a ``(beta, weights, values)`` witness."""
     return bound - complement_bridge_gap(*_at_level(witness))
@@ -1297,15 +1273,15 @@ _ROUNDTRIP_GRID = ScanConfig(grid_step=1e-3, random_samples=0, seed=42,
                              tolerance=0.0, range_lo=1e-3, range_hi=0.999)
 
 
-def kernel_roundtrip_scan(
-    x_tol: float = 1e-9, rate_tol: float = KERNEL_TOL
-) -> ScanReport:
+def kernel_roundtrip_scan(tol: float | None = None) -> ScanReport:
     """Round-trip the rate both ways across dense grids.
 
     Checks |g(f(x)) - x| <= x_tol on an x-grid and the defining contract
-    |f(g(y)) - y| <= rate_tol * max(1, y) on a y-grid.  Margins are the
-    bounds minus the residuals, judged at tolerance zero.
+    |f(g(y)) - y| <= rate_tol * max(1, y) on a y-grid, where ``tol`` sets
+    both bounds and None keeps x_tol = 1e-9 and rate_tol = KERNEL_TOL.
+    Margins are the bounds minus the residuals, judged at tolerance zero.
     """
+    x_tol, rate_tol = (1e-9, KERNEL_TOL) if tol is None else (tol, tol)
     xs = _grid(_ROUNDTRIP_GRID)
     min_x, i = _grid_min(
         "kernel-roundtrip", xs,
@@ -1357,15 +1333,15 @@ def _golden_margin(tag: str, b: float, bounds: dict) -> float:
     return bounds[key] - abs(residual(b))
 
 
-def golden_anchor_check(
-    identity_tol: float = 1e-12, margin_tol: float = 1e-9
-) -> ScanReport:
+def golden_anchor_check(tol: float | None = None) -> ScanReport:
     """Pin the golden-threshold identities that anchor the whole chain.
 
     At b = GOLDEN_THRESHOLD: b^2 = 1 - b, so H(b^2) = H(b) (ratio one) and
-    the single-atom product bound is exactly tight.
+    the single-atom product bound is exactly tight.  ``tol`` bounds every
+    residual; None keeps identity_tol = 1e-12 and margin_tol = 1e-9.
     """
     b = GOLDEN_THRESHOLD
+    identity_tol, margin_tol = (1e-12, 1e-9) if tol is None else (tol, tol)
     bounds = {"identity_tol": identity_tol, "margin_tol": margin_tol}
     checks = [(tag, _golden_margin(tag, b, bounds)) for tag in _GOLDEN_IDENTITIES]
     tag, worst = min(checks, key=lambda c: c[1])
@@ -1551,6 +1527,10 @@ class Check:
     their residual bounds, and family-sweep and entropy-bridge not at all.
     ``replay(report)`` recomputes the report's margin at its witness
     through the scalar route.
+
+    The comment at each registry entry states the check's sharpness: the
+    eps by which raising its constant c, in a margin lhs - c * rhs, makes
+    it fail, or why it has no such constant.
     """
 
     name: str
@@ -1558,18 +1538,6 @@ class Check:
     cfg: ScanConfig | None
     run: Callable[[ScanConfig | None, float, float | None], ScanReport]
     replay: Callable[[ScanReport], float]
-
-
-def _run_roundtrip(cfg, alpha, tol):
-    if tol is None:
-        return kernel_roundtrip_scan()
-    return kernel_roundtrip_scan(x_tol=tol, rate_tol=tol)
-
-
-def _run_anchor(cfg, alpha, tol):
-    if tol is None:
-        return golden_anchor_check()
-    return golden_anchor_check(identity_tol=tol, margin_tol=tol)
 
 
 def _replay_roundtrip(report: ScanReport) -> float:
@@ -1620,13 +1588,18 @@ def _replay_uniform_bridge(report: ScanReport) -> float:
 #: functions up by name at call time, so wrappers installed on the module
 #: attributes see every call.
 CHECKS: dict[str, Check] = {c.name: c for c in (
+    # kernel-roundtrip and golden-anchor: residuals under a bound, no constant
     Check(
-        "kernel-roundtrip", "kernel", None, _run_roundtrip, _replay_roundtrip,
+        "kernel-roundtrip", "kernel", None,
+        lambda cfg, alpha, tol: kernel_roundtrip_scan(tol),
+        _replay_roundtrip,
     ),
     Check(
-        "golden-anchor", "kernel", None, _run_anchor,
+        "golden-anchor", "kernel", None,
+        lambda cfg, alpha, tol: golden_anchor_check(tol),
         lambda r: _golden_margin(*r.argmin_witness, r.details),
     ),
+    # merge-properties and reduction: conservation laws, no constant
     Check(
         "merge-properties", "distribution",
         ScanConfig(random_samples=100_000, seed=42, tolerance=1e-9),
@@ -1639,12 +1612,15 @@ CHECKS: dict[str, Check] = {c.name: c for c in (
         lambda cfg, alpha, tol: reduction_consistency_scan(cfg),
         lambda r: reduction_consistency_margin(FiniteDistribution(zip(*r.argmin_witness))),
     ),
+    # optimum-search: c is the certificate's optimum, and the 1e-4 slack of
+    # optimum_candidate_margin absorbs any eps below about 1e-4
     Check(
         "optimum-search", "distribution",
         ScanConfig(random_samples=200_000, seed=42, tolerance=0.0),
         lambda cfg, alpha, tol: optimum_search_scan(cfg),
         lambda r: optimum_candidate_margin(*r.argmin_witness),
     ),
+    # the four curve checks: monotonicity and convexity, no constant
     Check(
         "sq-ratio", "scans",
         ScanConfig(grid_step=1e-4, random_samples=0, seed=42, tolerance=1e-6,
@@ -1673,28 +1649,33 @@ CHECKS: dict[str, Check] = {c.name: c for c in (
         lambda cfg, alpha, tol: scan_tail_rate(cfg),
         _replay_tail,
     ),
+    # union-bound and product-bound: eps = 1e-4 fails them at 5,000 rows
+    # (tests/test_scans.py::TestSharpness)
     Check(
         "union-bound", "scans",
         ScanConfig(grid_step=1e-4, random_samples=1_000_000, seed=42, tolerance=1e-9,
                    range_lo=0.0, range_hi=FREQUENCY_BOUND),
-        lambda cfg, alpha, tol: scan_union_bound(cfg),
+        lambda cfg, alpha, tol: level_scans([("union-bound", cfg)])[0],
         lambda r: union_bound_margin(*_at_level(r.argmin_witness)),
     ),
     Check(
         "product-bound", "scans",
         ScanConfig(grid_step=1e-4, random_samples=1_000_000, seed=42, tolerance=1e-9,
                    range_lo=GOLDEN_THRESHOLD, range_hi=1.0),
-        lambda cfg, alpha, tol: scan_product_bound(cfg),
+        lambda cfg, alpha, tol: level_scans([("product-bound", cfg)])[0],
         lambda r: product_bound_margin(*_at_level(r.argmin_witness)),
     ),
     Check(
-        # the bridge's own bound travels as cfg.tolerance; the report
-        # itself is judged at tolerance zero
+        # an identity residual under a bound, no constant; the bridge's own
+        # bound travels as cfg.tolerance, and the report itself is judged
+        # at tolerance zero
         "bridge-gap", "scans",
         ScanConfig(random_samples=10_000, seed=42, tolerance=BRIDGE_TOL),
         lambda cfg, alpha, tol: bridge_gap_scan(cfg),
         lambda r: _bridge_margin(r.details["bound"], r.argmin_witness),
     ),
+    # threshold: its rows read product-bound's R(beta), but it reports PASS
+    # whatever they read, so no eps can fail it
     Check(
         "threshold", "scans",
         ScanConfig(grid_step=0.01, random_samples=0, seed=42, tolerance=1e-9,
@@ -1702,12 +1683,16 @@ CHECKS: dict[str, Check] = {c.name: c for c in (
         lambda cfg, alpha, tol: threshold_exploration(cfg),
         lambda r: _threshold_margin(r.argmin_witness),
     ),
+    # subset-entropy: its constant R(alpha) is weaker than the argument needs
+    # and still passes at x1.5; its eps waits on union_ratio(alpha)
     Check(
         "subset-entropy", "setfamily",
         ScanConfig(random_samples=100_000, seed=42, tolerance=1e-9),
         lambda cfg, alpha, tol: subset_entropy_scan(cfg),
         _replay_subset,
     ),
+    # family-sweep and entropy-bridge: an exact count and a fixed slack,
+    # no constant
     Check(
         "family-sweep", "setfamily", None,
         lambda cfg, alpha, tol: family_sweep_scan(4),

@@ -348,10 +348,13 @@ class SubsetDistribution:
         return 0.0 - math.fsum(p * math.log2(p) for p, _ in self.atoms) + 0.0
 
     def marginal(self, element: int) -> float:
-        """Probability that a sample contains the given element."""
+        """Probability that a sample contains the given element.
+
+        Clamped at 1: the sum of normalized weights can round above it.
+        """
         if not (0 <= element < self.ground_n):
             raise SetFamilyError(f"element {element} outside the ground set")
-        return math.fsum(p for p, m in self.atoms if m >> element & 1)
+        return min(1.0, math.fsum(p for p, m in self.atoms if m >> element & 1))
 
     def marginals(self) -> tuple[float, ...]:
         return tuple(self.marginal(i) for i in range(self.ground_n))

@@ -29,8 +29,7 @@ from entroset.scans import (
     reduction_consistency_scan,
     run_named_scan,
     family_sweep_scan,
-    scan_product_bound,
-    scan_union_bound,
+    level_scans,
     subset_entropy_scan,
     uniform_bridge_scan,
 )
@@ -148,12 +147,10 @@ def test_criterion_6_curve_scans():
 
 def test_criterion_7_expectation_inequalities_at_scale():
     started = time.perf_counter()
-    union = scan_union_bound(
-        replace(CHECKS["union-bound"].cfg, random_samples=1_000_000)
-    )
-    product = scan_product_bound(
-        replace(CHECKS["product-bound"].cfg, random_samples=1_000_000)
-    )
+    union, product = level_scans([
+        (name, replace(CHECKS[name].cfg, random_samples=1_000_000))
+        for name in ("union-bound", "product-bound")
+    ])
     bridge = bridge_gap_scan(ScanConfig(random_samples=10_000, seed=42, tolerance=1e-12))
     ok = union.passed and product.passed and bridge.passed
     line = record_criterion(

@@ -16,7 +16,7 @@ import pytest
 import entroset
 from entroset.cli import build_parser, main
 from entroset.distribution import FiniteDistribution, load_distribution, reduce_support
-from entroset.kernel import binary_entropy
+from entroset.kernel import FREQUENCY_BOUND, binary_entropy
 from entroset import scans
 from entroset.report import PreconditionError
 from entroset.scans import CHECKS
@@ -718,6 +718,31 @@ class TestFamily:
         doc = json.loads((tmp_path / "r" / "family" / "entropy-42.json").read_text())
         assert doc["max_marginal"] == pytest.approx(0.5, abs=1e-15)
         assert doc["uniform_gap"] >= -1e-12
+
+    @pytest.mark.parametrize("text,worst", [
+        ("n=1\nempty\n", "0.0"),  # no element is ever drawn
+        ("n=2\n0\n1\n0,1\n", "0.6666666666666666"),
+    ], ids=["zero", "above-bound"])
+    def test_entropy_without_a_level_says_why(self, tmp_path, capsys, text, worst):
+        src = write(tmp_path / "f.fam", text)
+        assert main(["family", "entropy", src, "--out", str(tmp_path / "r")]) == 0
+        out = capsys.readouterr().out
+        assert (f"max marginal {worst} outside (0, {FREQUENCY_BOUND}]; no level to check"
+                in out)
+        doc = json.loads((tmp_path / "r" / "family" / "entropy-42.json").read_text())
+        assert doc["margin_at_max_marginal"] is None
+
+    def test_entropy_max_marginal_is_at_most_one(self, tmp_path):
+        # 237 sets that all hold element 0; the fsum of their uniform
+        # weights rounds above 1
+        sets = "".join(
+            ",".join(["0", *(str(i + 1) for i in range(8) if k >> i & 1)]) + "\n"
+            for k in range(237)
+        )
+        src = write(tmp_path / "f.fam", "n=9\n" + sets)
+        assert main(["family", "entropy", src, "--out", str(tmp_path / "r")]) == 0
+        doc = json.loads((tmp_path / "r" / "family" / "entropy-42.json").read_text())
+        assert doc["max_marginal"] == 1.0
 
     def test_entropy_sub_bound_marginals_report_a_margin(self, tmp_path):
         # A closed family always has max frequency at or above the bound,

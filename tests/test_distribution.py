@@ -1,6 +1,7 @@
 """Tests for finite distributions and the entropy-preserving merge calculus."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -167,6 +168,12 @@ class TestJointEntropy:
         ):
             d = FiniteDistribution(atoms)
             assert d.expected_joint_entropy().hex() == joint_entropy_oracle(d).hex()
+
+    def test_joint_entropy_is_the_product_pair_sum(self):
+        rng = np.random.default_rng(53)
+        for _ in range(500):
+            d = random_distribution(rng, max_atoms=20)
+            assert d.expected_pair_entropy(operator.mul) == d.expected_joint_entropy()
 
 
 class TestMerge:

@@ -24,6 +24,7 @@ from entroset.kernel import (
     entropy_rate_arr,
     inverse_entropy_rate,
     inverse_entropy_rate_arr,
+    union_ratio,
 )
 from entroset.report import (
     PreconditionError,
@@ -179,6 +180,16 @@ class TestCurveFamilies:
                 composed_rate_slope(alpha, 1.0)
 
 
+def oracle_union_bound_margin(d: FiniteDistribution, alpha: float) -> float:
+    """The union margin's left side as the full sum over ordered pairs."""
+    lhs = math.fsum(
+        wi * wj * binary_entropy(scans._pair_union(vi, vj))
+        for wi, vi in d.atoms
+        for wj, vj in d.atoms
+    )
+    return lhs - union_ratio(alpha) * d.expected_entropy()
+
+
 class TestExpectationInequalities:
     def test_union_margin_zero_at_single_atom_level(self):
         d = FiniteDistribution([(1.0, FREQUENCY_BOUND)])
@@ -192,6 +203,28 @@ class TestExpectationInequalities:
             w = rng.dirichlet(np.ones(3))
             d = FiniteDistribution(zip(w.tolist(), vals.tolist()))
             assert union_bound_margin(d, alpha) >= -1e-9
+
+    def test_union_margin_is_the_ordered_pair_sum(self):
+        # atoms at 0 and 1, and atoms closer than VALUE_SNAP that the
+        # constructor pools, on 1 to 20 atoms
+        rng = np.random.default_rng(61)
+        for _ in range(600):
+            k = int(rng.integers(1, 21))
+            vals = rng.uniform(0.0, 1.0, size=k)
+            kind = rng.integers(0, 4, size=k)
+            vals = np.where(kind == 0, 0.0, np.where(kind == 1, 1.0, vals))
+            vals = np.where(kind == 2, np.roll(vals, 1) + 5e-16, vals).clip(0.0, 1.0)
+            w = rng.dirichlet(np.ones(k))
+            mean = float(w @ vals)
+            if mean > FREQUENCY_BOUND:
+                # move mass to an atom at 0 until the mean fits the bound
+                keep = FREQUENCY_BOUND * float(rng.uniform(0.2, 1.0)) / mean
+                w = np.append(w * keep, 1.0 - keep)
+                vals = np.append(vals, 0.0)
+            d = FiniteDistribution(zip(w.tolist(), vals.tolist()))
+            alpha = float(rng.uniform(d.mean(), FREQUENCY_BOUND))
+            want = oracle_union_bound_margin(d, alpha)
+            assert union_bound_margin(d, alpha).hex() == want.hex()
 
     def test_union_margin_preconditions(self):
         d = FiniteDistribution([(1.0, 0.2)])
@@ -541,6 +574,22 @@ class TestScanEngines:
         assert r.passed
         assert reevaluate_witness(r) == pytest.approx(r.min_margin, abs=1e-15)
 
+    @pytest.mark.parametrize("tol", [None, 1e-8, 1e-12, 0.0])
+    def test_one_tol_sets_both_kernel_bounds(self, tol):
+        # None keeps each check's two default bounds; a number sets both
+        paired = () if tol is None else (tol, tol)
+        cases = [
+            (kernel_roundtrip_scan(tol), oracle_kernel_roundtrip(*paired),
+             ("x_tol", "rate_tol")),
+            (golden_anchor_check(tol), oracle_golden_anchor(*paired),
+             ("identity_tol", "margin_tol")),
+        ]
+        for got, want, keys in cases:
+            assert report_text(got) == report_text(want)
+            if tol is not None:
+                assert [got.details[k] for k in keys] == [tol, tol]
+            assert reevaluate_witness(got) == got.min_margin
+
     def test_golden_anchor_replay_recomputes_the_identity(self):
         from dataclasses import replace
 
@@ -722,6 +771,21 @@ def oracle_tail_rate(cfg):
         "tail-rate", zs.size, vector_min, witness, cfg.tolerance,
         scans._config_dict(cfg), details,
     )
+
+
+def oracle_golden_anchor(identity_tol=1e-12, margin_tol=1e-9):
+    b = GOLDEN_THRESHOLD
+    checks = [
+        ("sq-ratio-at-golden", identity_tol - abs(entropy_sq_ratio(b) - 1.0)),
+        ("square-vs-complement", identity_tol - abs(b * b - (1.0 - b))),
+        ("single-atom-margin", margin_tol - abs(
+            product_bound_margin(FiniteDistribution([(1.0, b)]), b))),
+        ("scaled-ratio-at-golden", identity_tol - abs(entropy_sq_ratio_scaled(b) - PHI)),
+    ]
+    tag, worst = min(checks, key=lambda c: c[1])
+    details = {**dict(checks), "identity_tol": identity_tol, "margin_tol": margin_tol}
+    return make_report("golden-anchor", len(checks), worst, (tag, b), 0.0,
+                       config={}, details=details)
 
 
 def oracle_kernel_roundtrip(x_tol=1e-9, rate_tol=KERNEL_TOL):

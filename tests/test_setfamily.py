@@ -284,6 +284,13 @@ class TestSubsetDistribution:
         assert d.marginal(0) == pytest.approx(0.7)
         assert d.marginal(1) == pytest.approx(0.5)
 
+    def test_marginal_never_exceeds_one(self):
+        # 237 uniform weights of 1/237 sum to 1.0000000000000002 in fsum
+        f = SetFamily(9, [1 | k << 1 for k in range(237)])
+        d = SubsetDistribution.uniform_on(f)
+        assert d.marginal(0) == 1.0
+        assert max(d.marginals()) == 1.0
+
     def test_rejects_duplicates_and_bad_mass(self):
         with pytest.raises(SetFamilyError):
             SubsetDistribution(2, [(0.5, 1), (0.5, 1)])
