@@ -62,7 +62,50 @@ def _utc(ts: float) -> str:
 
 
 def _json_text(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    With an indent json encodes in pure Python.  This writer lays out the
+    same lines faster: every key and scalar still goes through
+    ``json.dumps``, which keeps json's rules for floats, NaN, escapes and
+    bools, and a list of plain ints (a family member) is one join.
+    """
+    return _json_layout(doc, "\n") + "\n"
+
+
+_INT = frozenset({int})
+
+#: The text of the ints a family report is mostly made of, its members'
+#: element indices; a lookup costs a fraction of ``str``.
+_INDEX_TEXT = {i: str(i) for i in range(_sf.MAX_GROUND)}
+
+
+def _json_layout(value, nl: str) -> str:
+    """``value`` as json's indent-2 encoder writes it, starting on a line
+    whose newline and indent are ``nl``."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        if _INT.issuperset(map(type, value)):
+            try:
+                body = ("," + inner).join(map(_INDEX_TEXT.__getitem__, value))
+            except KeyError:
+                body = ("," + inner).join(map(str, value))
+        else:
+            body = ("," + inner).join([_json_layout(v, inner) for v in value])
+        return "[" + inner + body + nl + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(k, str) for k in value):
+            # json's own key rules (numbers, bools, None, type errors); each
+            # newline in its text ends a line, as json escapes those in strings
+            return json.dumps(value, indent=2, sort_keys=True).replace("\n", nl)
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join([
+            json.dumps(k) + ": " + _json_layout(v, inner) for k, v in sorted(value.items())
+        ]) + nl + "}"
+    return json.dumps(value)
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -96,8 +139,8 @@ def _write_manifest(
     args, subcommand: str, stem: str, started: float, report_path: Path, **fields,
 ) -> None:
     """Write the run's manifest; ``fields`` (a check run's workers, wall time
-    and per-check timings, a reduction's time and merges) are added to it
-    as they are."""
+    and per-check timings, a reduction's time and merges, a family
+    command's wall time) are added to it as they are."""
     params = {
         k: v for k, v in sorted(vars(args).items())
         if k not in ("func", "out") and v is not None and not callable(v)
@@ -280,12 +323,12 @@ def _family_doc(f: _sf.SetFamily) -> dict:
     return {
         "ground_n": f.ground_n,
         "size": len(f.members),
-        "members": [list(_sf.indices_from_mask(m)) for m in f.members],
+        "members": [_sf.indices_from_mask(m) for m in f.members],
     }
 
 
 def cmd_family_check(args) -> int:
-    started = time.time()
+    started, t0 = time.time(), time.perf_counter()
     fam = _sf.load_family(args.file)
     prof = _sf.checked_profile(fam)
     margin = prof.max_frequency - FREQUENCY_BOUND
@@ -308,12 +351,13 @@ def cmd_family_check(args) -> int:
         f"margin={margin:.6f}"
     )
     path = _write_report_json(args, "family", "check", doc)
-    _write_manifest(args, "family", "check", started, path)
+    _write_manifest(args, "family", "check", started, path,
+                    wall_s=time.perf_counter() - t0)
     return 0 if doc["meets_bound_exact"] else 1
 
 
 def cmd_family_closure(args) -> int:
-    started = time.time()
+    started, t0 = time.time(), time.perf_counter()
     fam = _sf.load_family(args.file)
     closed = _sf.union_closure(fam.members, fam.ground_n)
     text = _sf.family_text(closed)
@@ -329,12 +373,13 @@ def cmd_family_closure(args) -> int:
         "union_closed": True,
     })
     path = _write_report_json(args, "family", "closure", doc)
-    _write_manifest(args, "family", "closure", started, path)
+    _write_manifest(args, "family", "closure", started, path,
+                    wall_s=time.perf_counter() - t0)
     return 0
 
 
 def cmd_family_enumerate(args) -> int:
-    started = time.time()
+    started, t0 = time.time(), time.perf_counter()
     rows = _sf.family_census(args.n)
     worst = min(rows, key=lambda r: r["margin"])
     stem = f"enumerate-n{args.n}"
@@ -356,12 +401,12 @@ def cmd_family_enumerate(args) -> int:
         f"(margin {worst['margin']:.6f})"
     )
     path = _write_report_json(args, "family", stem, doc)
-    _write_manifest(args, "family", stem, started, path)
+    _write_manifest(args, "family", stem, started, path, wall_s=time.perf_counter() - t0)
     return 0 if doc["exact_bound_holds"] else 1
 
 
 def cmd_family_entropy(args) -> int:
-    started = time.time()
+    started, t0 = time.time(), time.perf_counter()
     fam = _sf.load_family(args.file)
     d = _sf.SubsetDistribution.uniform_on(fam)
     ud = _sf.union_distribution(d)
@@ -388,7 +433,8 @@ def cmd_family_entropy(args) -> int:
     else:
         print(f"max marginal {worst!r} outside (0, {FREQUENCY_BOUND}]; no level to check")
     path = _write_report_json(args, "family", "entropy", doc)
-    _write_manifest(args, "family", "entropy", started, path)
+    _write_manifest(args, "family", "entropy", started, path,
+                    wall_s=time.perf_counter() - t0)
     return 0
 
 

@@ -106,17 +106,23 @@ def mask_from_indices(indices: Iterable[int], ground_n: int) -> int:
     return mask
 
 
+#: The set bits of each byte as element indices, and as their text, for the
+#: low byte of a mask and for the byte above it; together they cover every
+#: mask of MAX_GROUND bits.
+_LOW_BYTE = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+_HIGH_BYTE = tuple(tuple(i + 8 for i in low) for low in _LOW_BYTE)
+_LOW_TEXT = tuple(",".join(map(str, idx)) for idx in _LOW_BYTE)
+_HIGH_TEXT = tuple(",".join(map(str, idx)) for idx in _HIGH_BYTE)
+
+
 def indices_from_mask(mask: int) -> tuple[int, ...]:
     """Sorted 0-based element indices present in a bitmask."""
-    out = []
-    i = 0
     m = int(mask)
-    while m:
-        if m & 1:
-            out.append(i)
-        m >>= 1
-        i += 1
-    return tuple(out)
+    if m < 0:
+        raise SetFamilyError(f"mask {m} is negative")
+    if m < 1 << 16:
+        return _LOW_BYTE[m & 255] + _HIGH_BYTE[m >> 8]
+    return indices_from_mask(m & 0xFFFF) + tuple(i + 16 for i in indices_from_mask(m >> 16))
 
 
 @dataclass(frozen=True)
@@ -275,7 +281,10 @@ def _require_checkable(f: SetFamily) -> None:
 
 
 def _set_label(mask: int) -> str:
-    return ",".join(str(i) for i in indices_from_mask(mask))
+    """The elements of a member mask, comma-separated: ``indices_from_mask``
+    as text, for a mask below 2^MAX_GROUND."""
+    low, high = _LOW_TEXT[mask & 255], _HIGH_TEXT[mask >> 8]
+    return f"{low},{high}" if low and high else low or high
 
 
 def checked_profile(f: SetFamily) -> FrequencyProfile:
@@ -542,16 +551,29 @@ def _parse_family_text(text: str) -> SetFamily:
         ground_n = int(head[2:])
     except ValueError:
         raise SetFamilyError(f"bad ground size in {lines[0]!r}")
+    if not (0 <= ground_n <= MAX_GROUND):
+        raise SetFamilyError(f"ground_n must lie in [0, {MAX_GROUND}], got {ground_n}")
+    # the bit of every token a line has already shown to parse and to lie
+    # in the ground set; a line with any other token is read in full
+    bits: dict[str, int] = {}
     members = []
     for line in lines[1:]:
         if line.lower() == "empty":
             members.append(0)
             continue
+        toks = line.split(",")
+        mask = 0
         try:
-            idx = [int(tok) for tok in line.split(",")]
-        except ValueError:
-            raise SetFamilyError(f"bad set line {line!r}")
-        members.append(mask_from_indices(idx, ground_n))
+            for tok in toks:
+                mask |= bits[tok]
+        except KeyError:
+            try:
+                idx = [int(tok) for tok in toks]
+            except ValueError:
+                raise SetFamilyError(f"bad set line {line!r}")
+            mask = mask_from_indices(idx, ground_n)
+            bits.update((tok, 1 << i) for tok, i in zip(toks, idx))
+        members.append(mask)
     if not members:
         raise SetFamilyError("family file lists no sets")
     return SetFamily(ground_n, members)
@@ -560,9 +582,7 @@ def _parse_family_text(text: str) -> SetFamily:
 def family_text(f: SetFamily) -> str:
     """Render a family in the text file format, canonical sorted order."""
     lines = [f"n={f.ground_n}"]
-    for m in f.members:
-        idx = indices_from_mask(m)
-        lines.append(",".join(str(i) for i in idx) if idx else "empty")
+    lines += [_set_label(m) or "empty" for m in f.members]
     return "\n".join(lines) + "\n"
 
 

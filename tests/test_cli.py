@@ -7,13 +7,17 @@ import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entroset
+from entroset import cli
 from entroset.cli import build_parser, main
 from entroset.distribution import FiniteDistribution, load_distribution, reduce_support
 from entroset.kernel import FREQUENCY_BOUND, binary_entropy
@@ -35,6 +39,25 @@ def write(path, text):
 #: optimum-search still keeps candidates, and a grid step coarser than every
 #: registered one, threshold's 0.01 included.
 SAME_FLAGS = ["--samples", "2000", "--step", "0.05"]
+
+
+def oracle_json_text(doc) -> str:
+    """The report writer the layout writer replaced."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture(autouse=True)
+def json_files_are_json_dumps(monkeypatch):
+    """Every JSON file a test here writes in-process is also held to the
+    oracle writer."""
+    writer = cli._json_text
+
+    def checked(doc):
+        text = writer(doc)
+        assert text == oracle_json_text(doc)
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", checked)
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +101,50 @@ class TestTopLevel:
         out = tmp_path / "r"
         assert main([*argv, "--format", "csv", "--out", str(out)]) == 2
         assert not out.exists()
+
+
+#: JSON scalars, the edge floats and the strings json escapes included.
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-300, 300),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e-300, 5e-324]),
+    st.text(), st.text(st.characters(max_codepoint=0x20)),
+)
+
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(st.integers(-10**20, 10**20), max_size=6),
+        st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+class TestReportWriter:
+    @settings(max_examples=500, deadline=None)
+    @given(JSON_DOCS)
+    def test_writer_is_json_dumps(self, doc):
+        assert cli._json_text(doc) == oracle_json_text(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {}, [], {"a": {}, "b": [], "c": [[]], "d": ()},
+        {"b": [1, True, 2], "a": [0, -1, 10**30], "c": [1.0, 2]},
+        {"\u00e9": "\x00\n\t\"\\", "z": "\ud83d\ude00"},
+        {1: "one", 0: [2, 1]}, {"n": {2.5: None, -1.0: True}}, {"k": {None: 1}},
+        {"members": [(0, 2), (), (1,)], "nested": [[[{}]]]},
+    ])
+    def test_writer_is_json_dumps_on_edge_docs(self, doc):
+        assert cli._json_text(doc) == oracle_json_text(doc)
+
+    @pytest.mark.parametrize("doc", [{"a": object()}, {1: 1, "a": 2}, {"a": {(1,): 2}}])
+    def test_writer_refuses_what_json_refuses(self, doc):
+        with pytest.raises(TypeError):
+            oracle_json_text(doc)
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
 
 
 class TestVerifyAll:
@@ -697,6 +764,23 @@ class TestFamily:
     def test_enumerate_too_large(self, tmp_path):
         assert main(["family", "enumerate", "--n", "5",
                      "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize("argv,stem", [
+        (["check", "{src}"], "check"),
+        (["closure", "{src}", "{out}/closed.fam"], "closure"),
+        (["entropy", "{src}"], "entropy"),
+        (["enumerate", "--n", "2"], "enumerate-n2"),
+    ], ids=["check", "closure", "entropy", "enumerate"])
+    def test_manifest_times_the_command(self, tmp_path, argv, stem):
+        src = write(tmp_path / "f.fam", "n=2\nempty\n0\n1\n0,1\n")
+        out = tmp_path / "r"
+        argv = [a.format(src=src, out=tmp_path) for a in argv]
+        t0 = time.perf_counter()
+        assert main(["family", *argv, "--out", str(out)]) == 0
+        elapsed = time.perf_counter() - t0
+        manifest = json.loads((out / "family" / f"{stem}-42.manifest.json").read_text())
+        assert 0.0 < manifest["wall_s"] <= elapsed
+        assert "wall_s" not in json.loads((out / "family" / f"{stem}-42.json").read_text())
 
     def test_entropy_uniform_triangle(self, tmp_path):
         src = write(tmp_path / "f.fam", "n=2\n0\n1\n0,1\n")

@@ -11,6 +11,8 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entroset.setfamily as setfamily
 from entroset.kernel import FREQUENCY_BOUND
@@ -39,6 +41,14 @@ from entroset.setfamily import (
 from entroset.scans import family_sweep_scan, subset_entropy_scan, uniform_bridge_scan
 
 mpmath.mp.dps = 50
+
+
+def cli_env() -> dict[str, str]:
+    """The environment of a subprocess that imports this checkout's package."""
+    root = Path(setfamily.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root), env.get("PYTHONPATH")]))
+    return env
 
 
 def random_family(rng: np.random.Generator, ground_n: int) -> SetFamily:
@@ -146,6 +156,64 @@ def oracle_family_census(ground_n: int) -> list[dict]:
     return rows
 
 
+def oracle_indices_from_mask(mask: int) -> tuple[int, ...]:
+    """The bit loop the byte-table codec replaced."""
+    out = []
+    i = 0
+    m = int(mask)
+    while m:
+        if m & 1:
+            out.append(i)
+        m >>= 1
+        i += 1
+    return tuple(out)
+
+
+def oracle_parse_family_text(text: str) -> SetFamily:
+    """The parser the token cache replaced: every line through int() and
+    mask_from_indices, the header's range left to SetFamily."""
+    lines = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append(line)
+    if not lines:
+        raise SetFamilyError("empty family file")
+    head = lines[0].replace(" ", "")
+    if not head.startswith("n="):
+        raise SetFamilyError(f"first line must be n=<ground_n>, got {lines[0]!r}")
+    try:
+        ground_n = int(head[2:])
+    except ValueError:
+        raise SetFamilyError(f"bad ground size in {lines[0]!r}")
+    members = []
+    for line in lines[1:]:
+        if line.lower() == "empty":
+            members.append(0)
+            continue
+        try:
+            idx = [int(tok) for tok in line.split(",")]
+        except ValueError:
+            raise SetFamilyError(f"bad set line {line!r}")
+        members.append(mask_from_indices(idx, ground_n))
+    if not members:
+        raise SetFamilyError("family file lists no sets")
+    return SetFamily(ground_n, members)
+
+
+def parsed(parse, text: str):
+    """A parser's family, or the message it refuses ``text`` with."""
+    try:
+        return parse(text)
+    except SetFamilyError as exc:
+        return str(exc)
+
+
+#: Tokens the parser must read as int() does: padded, signed, zero-led,
+#: underscored, non-ASCII digits, empty, out of range and not numbers.
+ODD_TOKENS = (" 0 ", "+1", "01", "-0", "1_0", "\u0663", "", "3", "12", "-1", "q", "0x1", "1.0")
+
+
 def random_members(rng: np.random.Generator, ground_n: int) -> list[int]:
     """Up to 8 random masks, so a closure holds at most 2^8 members."""
     k = int(rng.integers(1, 9))
@@ -180,6 +248,29 @@ class TestMasks:
             mask_from_indices([4], 4)
         with pytest.raises(SetFamilyError):
             mask_from_indices([-1], 4)
+
+    def test_codec_is_the_bit_loop(self):
+        for m in range(1 << MAX_GROUND):
+            idx = oracle_indices_from_mask(m)
+            assert indices_from_mask(m) == idx
+            assert setfamily._set_label(m) == ",".join(str(i) for i in idx)
+        rng = np.random.default_rng(16)
+        for m in [1 << 16, (1 << 64) - 1, *(int(x) << 5 for x in rng.integers(0, 2**62, 50))]:
+            assert indices_from_mask(m) == oracle_indices_from_mask(m)
+
+    def test_negative_mask_is_refused(self):
+        # in a subprocess under a timeout, since a shifting loop never ends on -1
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from entroset.setfamily import SetFamilyError, indices_from_mask\n"
+             "try:\n"
+             "    indices_from_mask(-1)\n"
+             "except SetFamilyError as exc:\n"
+             "    print(exc)\n"],
+            env=cli_env(), capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == "mask -1 is negative\n"
 
 
 class TestSetFamily:
@@ -386,6 +477,40 @@ class TestFamilyFiles:
         assert text.splitlines()[0] == "n=2"
         assert "empty" in text
 
+    @pytest.mark.parametrize("n", [-1, 17, 10**9])
+    def test_header_is_checked_before_the_sets(self, n):
+        with pytest.raises(SetFamilyError) as err:
+            setfamily._parse_family_text(f"n={n}\n0\n")
+        assert str(err.value) == f"ground_n must lie in [0, {MAX_GROUND}], got {n}"
+
+    @pytest.mark.parametrize("text", [
+        "n=2\n 0 \n+1\n01\n", "n=2\nEMPTY\n0\n", "n=2\n0,,1\n", "n=2\n0,\n",
+        "n=2 # ground\n# a comment\n0 # first\n\n1,0\n", "n = 3\n0, 1\n1,0\n 2 ,0\n",
+        "n=11\n1_0\n-0\n0,0,0\n\u0663\n", "n=2\n0,5,q\n", "n=2\n0\n0,5\n0,q\n",
+        "n=2\n1\n1,2\n", "n=3\n0,1\n1,0,1\n0,0\n", "n=2\nempty,0\n", "n=2\n",
+        "n=\n0\n", "0\n", "#\n",
+    ])
+    def test_parser_is_the_line_by_line_parser(self, text):
+        assert parsed(setfamily._parse_family_text, text) == parsed(
+            oracle_parse_family_text, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, MAX_GROUND), st.lists(st.lists(
+        st.one_of(st.sampled_from(ODD_TOKENS), st.sampled_from("0123"),
+                  st.integers(0, MAX_GROUND - 1).map(str)),
+        min_size=1, max_size=5).map(",".join), max_size=12))
+    def test_parser_is_the_line_by_line_parser_on_odd_tokens(self, n, lines):
+        text = "".join(f"{line}\n" for line in [f"n={n}", *lines])
+        assert parsed(setfamily._parse_family_text, text) == parsed(
+            oracle_parse_family_text, text)
+
+    def test_parser_reads_random_families_as_the_line_by_line_parser(self):
+        rng = np.random.default_rng(2024)
+        for n in range(MAX_GROUND + 1):
+            for _ in range(3):
+                text = family_text(random_family(rng, min(n, 10)) if n else SetFamily(0, [0]))
+                assert setfamily._parse_family_text(text) == oracle_parse_family_text(text)
+
     def test_parse_errors(self, tmp_path):
         bad = {
             "no-header.fam": "0,1\n",
@@ -513,16 +638,24 @@ class TestStatedLimits:
     def test_family_check_on_the_full_power_set(self, tmp_path):
         src = tmp_path / "power.fam"
         src.write_text(family_text(SetFamily(MAX_GROUND, range(1 << MAX_GROUND))))
-        root = Path(setfamily.__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root), env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "entroset.cli", "family", "check", str(src),
              "--out", str(tmp_path / "r")],
-            env=env, capture_output=True, text=True, timeout=10,
+            env=cli_env(), capture_output=True, text=True, timeout=10,
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert "max_frequency=32768/65536" in proc.stdout
+
+    def test_family_closure_of_the_singletons_is_the_power_set(self, tmp_path):
+        src = tmp_path / "singletons.fam"
+        src.write_text(family_text(SetFamily(MAX_GROUND, [0, *(1 << i for i in range(MAX_GROUND))])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "entroset.cli", "family", "closure", str(src),
+             "--out", str(tmp_path / "r")],
+            env=cli_env(), capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout == family_text(SetFamily(MAX_GROUND, range(1 << MAX_GROUND)))
 
     def test_union_distribution_at_the_support_cap(self):
         rng = np.random.default_rng(107)
